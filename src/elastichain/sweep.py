@@ -4,16 +4,20 @@ The end-point constraint (x0 - delta_x, 0) removes two degrees of freedom
 through the two-link closure, leaving the n-2 leading joint angles as free
 variables of the strain energy. Minima of that reduced energy are stable
 equilibria, maxima and saddles unstable ones; sweeping delta_x and chaining
-the minimizer from the previous solution traces a physical loading path.
+a Newton minimization from the previous solution traces a physical loading
+path. The end-point force is the Lagrange multiplier of the constraint, and
+the reduced gradient and Hessian are exact, built from the suffix sums of
+the forward kinematics.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from .chain import (
     ChainModel,
@@ -24,6 +28,7 @@ from .chain import (
     check_configuration,
     close_chain,
     forward_kinematics,
+    jacobian,
 )
 from .errors import (
     NotApplicableError,
@@ -36,9 +41,22 @@ from .statics import EquilibriumPoint, PlanarForce, recover_force
 # Eigenvalues of the reduced Hessian within this fraction of its largest
 # entry are treated as zero when classifying stability.
 STABILITY_TOLERANCE = 1e-6
-# Central finite-difference steps for the reduced energy.
-HESSIAN_STEP = 1e-4
-GRADIENT_STEP = 1e-6
+# Newton solves of the reduced energy: converged once the gradient is below
+# GRADIENT_TOLERANCE times the largest stiffness and a step no longer halves
+# it; Hessian eigenvalues floored on the same scale; Armijo factor, energy
+# rounding forgiven (relative to energy plus that scale), smallest step.
+NEWTON_ITERATIONS = 100
+GRADIENT_TOLERANCE = 1e-12
+CURVATURE_FLOOR = 1e-8
+ARMIJO = 1e-4
+ROUNDING = 1e-14
+MIN_STEP = 1e-10
+# |sin q_n| at which the closure is singular (last two links collinear), and
+# below which negative curvature means a descent slides onto that boundary.
+SINGULAR_SINE = 1e-8
+BOUNDARY_SINE = 0.05
+NO_CLOSURE = "no feasible closure from any start or branch"
+NO_EQUILIBRIUM = "no start converged to an equilibrium"
 # Grid density of the closed-loop scan behind three_link_equilibria.
 THREE_LINK_GRID = 1200
 # Configurations closer than this (max angle gap, rad) count as duplicates.
@@ -156,22 +174,11 @@ def reduced_energy(
     closures are reported as +inf so minimizers treat them as barriers.
     """
     check_configuration(chain, initial_config)
-    full = _close_chain_raw(
-        tuple(chain.link_lengths),
-        np.asarray(leading_angles, dtype=float).tolist(),
-        target.x,
-        target.y,
-        int(branch),
-    )
-    if full is None:
-        return math.inf
-    reference = initial_config.reference_angles
-    stiffness = chain.joint_stiffness
-    total = 0.0
-    for i in range(chain.n):
-        dq = full[i] - reference[i]
-        total += stiffness[i] * dq * dq
-    return 0.5 * total
+    lead = np.asarray(leading_angles, dtype=float).tolist()
+    return _closed_energy(
+        tuple(chain.link_lengths), chain.joint_stiffness,
+        initial_config.reference_angles, lead, target.x, target.y, int(branch),
+    )[0]
 
 
 @dataclass(frozen=True)
@@ -312,83 +319,103 @@ def detect_quasi_buckling(result, drop_ratio: float = 0.1) -> list[tuple[float, 
 
 
 # ---------------------------------------------------------------------------
-# reduced-space minimization machinery
+# reduced-space Newton machinery
 
 
-def _fd_gradient(f, x, step=GRADIENT_STEP):
-    x = np.asarray(x, dtype=float)
-    grad = np.zeros(x.size)
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = step
-        grad[i] = (f(x + e) - f(x - e)) / (2.0 * step)
-    return grad
+def _closed_energy(lengths, stiffness, reference, lead, tx, ty, branch):
+    """(spring energy, angles) of the closure onto (tx, ty), or (inf, None)."""
+    full = _close_chain_raw(lengths, lead, tx, ty, branch)
+    if full is None:
+        return math.inf, None
+    total = sum(k * (q - r) * (q - r) for k, q, r in zip(stiffness, full, reference))
+    return 0.5 * total, full
 
 
-def _fd_hessian(f, x, step=HESSIAN_STEP):
-    x = np.asarray(x, dtype=float)
-    m = x.size
-    hess = np.zeros((m, m))
-    f0 = f(x)
-    for i in range(m):
-        ei = np.zeros(m)
-        ei[i] = step
-        hess[i, i] = (f(x + ei) - 2.0 * f0 + f(x - ei)) / step**2
-        for j in range(i + 1, m):
-            ej = np.zeros(m)
-            ej[j] = step
-            hess[i, j] = hess[j, i] = (
-                f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
-            ) / (4.0 * step * step)
-    return hess
+def _reduced_derivatives(chain, reference, full):
+    """Force, reduced gradient and reduced Hessian at a closed configuration.
 
+    Z = [I; -J_t^-1 J_l] spans the tangent space of the end-point constraint
+    (J_t: the Jacobian columns of the last two joints). The force is the
+    multiplier F = -J_t^-T tau_t with tau = K (q - q0), the gradient Z^T tau
+    and the Hessian Z^T (K - F_x Sc - F_y Ss) Z, where Sc[a, b] is the sum of
+    L_j cos(theta_j) over j >= max(a, b), i.e. J[1, max(a, b)], and Ss the
+    same with sin, -J[0, max(a, b)].
 
-def _newton_polish(f, x, iterations=2):
-    """Sharpen a minimizer result with guarded Newton steps.
-
-    Skips silently whenever the local Hessian is not positive definite or a
-    step would leave the feasible region; the simplex result then stands.
+    Returns (force, gradient, hessian, torque residual J^T F + tau).
     """
-    x = np.asarray(x, dtype=float)
-    for _ in range(iterations):
-        grad = _fd_gradient(f, x)
-        if not np.all(np.isfinite(grad)):
-            return x
-        hess = _fd_hessian(f, x)
-        if not np.all(np.isfinite(hess)):
-            return x
-        try:
-            np.linalg.cholesky(hess)
-        except np.linalg.LinAlgError:
-            return x
-        step = -np.linalg.solve(hess, grad)
-        size = float(np.linalg.norm(step))
-        if size > 0.1:
-            step *= 0.1 / size
-        current = f(x)
-        candidate = x + step
-        value = f(candidate)
-        if math.isfinite(value) and value <= current + 1e-15:
-            x = candidate
-        else:
-            return x
-    return x
+    q = np.asarray(full, dtype=float)
+    jac = jacobian(chain, q)
+    tau = chain.joint_stiffness * (q - reference)
+    (a, b), (c, d) = jac[:, -2:]
+    inverse = np.array([[d, -b], [-c, a]]) / (a * d - b * c)
+    force = -inverse.T @ tau[-2:]
+    basis = np.vstack([np.eye(q.size - 2), -inverse @ jac[:, :-2]])
+    suffix = np.maximum.outer(np.arange(q.size), np.arange(q.size))
+    curvature = np.diag(chain.joint_stiffness) - force[0] * jac[1][suffix]
+    curvature += force[1] * jac[0][suffix]
+    hessian = basis.T @ curvature @ basis
+    return force, basis.T @ tau, hessian, jac.T @ force + tau
 
 
-def _make_objective(lengths, stiffness, reference, tx, branch):
-    stiffness = tuple(float(v) for v in stiffness)
+# An equilibrium reached by _newton_minimize, with its derivatives.
+_Solve = namedtuple("_Solve", "energy full force hessian residual")
 
-    def objective(lead):
-        full = _close_chain_raw(lengths, lead.tolist(), tx, 0.0, branch)
-        if full is None:
-            return math.inf
-        total = 0.0
-        for i in range(len(lengths)):
-            dq = full[i] - reference[i]
-            total += stiffness[i] * dq * dq
-        return 0.5 * total
 
-    return objective
+def _newton_minimize(chain, reference, lead, tx, branch):
+    """Modified-Newton descent of the reduced energy from `lead`.
+
+    Steps use the reduced Hessian with its eigenvalues replaced by their
+    floored magnitudes, so they always descend and cannot settle on a
+    saddle; the Armijo backtracking treats infeasible closures as +inf. At
+    the closure boundary J_t is singular and the energy has a square-root
+    singularity: a descent that meets negative curvature near it is sliding
+    onto it, and this branch has no equilibrium there.
+
+    Returns the _Solve at an equilibrium, or None when the start is
+    infeasible or the descent reaches no equilibrium.
+    """
+    lengths = tuple(float(v) for v in chain.link_lengths)
+    stiffness = tuple(float(v) for v in chain.joint_stiffness)
+    scale = max(stiffness)
+
+    def energy_at(lead):
+        return _closed_energy(
+            lengths, stiffness, reference, lead.tolist(), tx, 0.0, branch
+        )
+
+    energy, full = energy_at(lead)
+    if full is None:
+        return None
+    previous = math.inf
+    for _ in range(NEWTON_ITERATIONS):
+        sine = abs(math.sin(full[-1]))
+        if sine <= SINGULAR_SINE:
+            return None
+        force, gradient, hessian, residual = _reduced_derivatives(
+            chain, reference, full
+        )
+        norm = float(np.linalg.norm(gradient))
+        if norm <= GRADIENT_TOLERANCE * scale and norm >= 0.5 * previous:
+            return _Solve(energy, np.asarray(full), force, hessian, residual)
+        previous = norm
+        values, vectors = np.linalg.eigh(hessian)
+        if values[0] < 0.0 and sine < BOUNDARY_SINE:
+            return None
+        values = np.maximum(np.abs(values), CURVATURE_FLOOR * scale)
+        step = -vectors @ ((vectors.T @ gradient) / values)
+        slope = float(gradient @ step)
+        alpha = 1.0
+        while True:
+            trial = lead + alpha * step
+            trial_energy, trial_full = energy_at(trial)
+            slack = ARMIJO * alpha * slope + ROUNDING * (energy + scale)
+            if trial_energy <= energy + slack:
+                break
+            alpha *= 0.5
+            if alpha < MIN_STEP:
+                return None
+        lead, energy, full = trial, trial_energy, trial_full
+    return None
 
 
 def _recover_with_guard(chain, config):
@@ -446,18 +473,20 @@ def sweep_force_deflection(
 ) -> SweepResult:
     """Trace the force-deflection path of a non-straight chain.
 
-    Each delta_x sample minimizes the reduced strain energy, warm-started
-    from the previous point and fortified with random restarts over the
-    allowed elbow branches. The path follows the warm-started basin
-    (physical continuation); restarts that find lower, disconnected minima
-    are logged as advisories rather than jumped to. Strain energy is
+    Each delta_x sample minimizes the reduced strain energy by modified
+    Newton steps, warm-started from the previous point and fortified with
+    random restarts over the allowed elbow branches. The path follows the
+    warm-started basin (physical continuation); restarts that find lower,
+    disconnected minima are logged as advisories rather than jumped to.
+    Solves that slide onto the closure boundary are not equilibria and
+    count as neither. A point's force is the constraint multiplier, its
+    stability comes from the analytic reduced Hessian. Strain energy is
     checked for monotone growth and any violation is noted on the branch
-    log. A step with no feasible closure truncates the sweep.
+    log. A step where no start has a feasible closure (NO_CLOSURE), or none
+    converges to an equilibrium (NO_EQUILIBRIUM), truncates the sweep.
     """
     chain = request.chain
     n = chain.n
-    lengths = tuple(float(v) for v in chain.link_lengths)
-    stiffness_vec = chain.joint_stiffness
     rng = np.random.default_rng(seed)
 
     snapped, x0, branch0 = _snap_to_axis(
@@ -488,91 +517,67 @@ def sweep_force_deflection(
             b for b in request.branches if b != previous_branch
         ]
 
-        candidates = []
-        for branch in ordered_branches:
-            objective = _make_objective(lengths, stiffness_vec, reference, tx, branch)
-            for restart, offset in enumerate(offsets):
-                start = warm_lead + offset
-                with np.errstate(invalid="ignore"):
-                    fit = minimize(
-                        objective,
-                        start,
-                        method="Nelder-Mead",
-                        options={"xatol": 1e-6, "fatol": 1e-10, "maxiter": 800},
-                    )
-                if math.isfinite(fit.fun):
-                    candidates.append((float(fit.fun), fit.x, branch, restart))
+        starts = [
+            (branch, restart, warm_lead + offset)
+            for branch in ordered_branches
+            for restart, offset in enumerate(offsets)
+        ]
+        candidates = []  # (solve, branch, restart)
+        for branch, restart, start in starts:
+            solve = _newton_minimize(chain, reference, start, tx, branch)
+            if solve is not None:
+                candidates.append((solve, branch, restart))
 
         if not candidates:
-            truncation = SweepTruncation(
-                delta_x=float(delta),
-                reason="no feasible equilibrium found from any start or branch",
+            feasible = any(
+                _close_chain_raw(chain.link_lengths, start.tolist(), tx, 0.0, branch)
+                for branch, _, start in starts
             )
+            reason = NO_EQUILIBRIUM if feasible else NO_CLOSURE
+            truncation = SweepTruncation(delta_x=float(delta), reason=reason)
             break
 
         note = ""
-        warm = [c for c in candidates if c[3] == 0]
+        warm = [c for c in candidates if c[2] == 0]
         if warm:
-            def continuation_gap(candidate):
-                full = _close_chain_raw(
-                    lengths, candidate[1].tolist(), tx, 0.0, candidate[2]
-                )
-                return float(np.max(np.abs(np.asarray(full) - previous_full)))
-
-            energy_min, lead, branch, restart = min(warm, key=continuation_gap)
+            solve, branch, restart = min(
+                warm, key=lambda c: float(np.max(np.abs(c[0].full - previous_full)))
+            )
         else:
-            energy_min, lead, branch, restart = min(candidates, key=lambda c: c[0])
+            solve, branch, restart = min(candidates, key=lambda c: c[0].energy)
             note = "warm start infeasible; continued from a restart"
 
-        objective = _make_objective(lengths, stiffness_vec, reference, tx, branch)
-        lead = _newton_polish(objective, lead)
-        energy_min = float(objective(lead))
-        full = np.asarray(
-            _close_chain_raw(lengths, lead.tolist(), tx, 0.0, branch), dtype=float
-        )
-
-        for other in candidates:
-            if other[2] == branch and np.max(np.abs(other[1] - lead)) <= 1e-3:
+        for other, other_branch, _ in candidates:
+            gap = float(np.max(np.abs(other.full[:-2] - solve.full[:-2])))
+            if other_branch == branch and gap <= 1e-3:
                 continue
-            if other[0] < energy_min - 1e-9:
-                advisories.append(
-                    SweepAdvisory(
-                        delta_x=float(delta),
-                        primary_energy=energy_min,
-                        alternative_energy=other[0],
-                        angle_gap=float(np.max(np.abs(other[1] - lead))),
-                    )
-                )
+            if other.energy < solve.energy - 1e-9:
+                advisories.append(SweepAdvisory(
+                    delta_x=float(delta), primary_energy=solve.energy,
+                    alternative_energy=other.energy, angle_gap=gap,
+                ))
                 break
 
-        hessian = _fd_hessian(objective, lead)
-        if np.all(np.isfinite(hessian)):
-            stability, degenerate = classify_stability(hessian)
-            if degenerate:
-                note = (note + "; " if note else "") + "degenerate stability"
-        else:
-            stability = "stable"
-            note = (note + "; " if note else "") + "hessian stencil hit the workspace boundary"
+        stability, degenerate = classify_stability(solve.hessian)
+        if degenerate:
+            note = (note + "; " if note else "") + "degenerate stability"
 
-        config = Configuration(full, ref_config)
-        force, residual = _recover_with_guard(chain, config)
-        deflection = DeflectionState(
-            delta_x=float(delta), delta_y=0.0, pre_displacement=pre_displacement
-        )
+        # + 0.0 turns the -0.0 of an unloaded point into 0.0
+        fx, fy = float(solve.force[0]) + 0.0, float(solve.force[1]) + 0.0
         points.append(
             EquilibriumPoint(
-                configuration=config,
-                deflection=deflection,
-                force=force,
-                strain_energy=energy_min,
-                potential_energy=energy_min - force.fx * float(delta),
+                configuration=Configuration(solve.full, ref_config),
+                deflection=DeflectionState(float(delta), 0.0, pre_displacement),
+                force=PlanarForce(fx, fy),
+                strain_energy=solve.energy,
+                potential_energy=solve.energy - fx * float(delta),
                 stability=stability,
-                residual_norm=residual,
+                residual_norm=float(np.linalg.norm(solve.residual)),
             )
         )
         log.append(SweepStepRecord(float(delta), branch, restart, note))
-        warm_lead = np.asarray(lead, dtype=float)
-        previous_full = full
+        warm_lead = solve.full[:-2]
+        previous_full = solve.full
         previous_branch = branch
 
     for i in range(1, len(points)):
@@ -673,14 +678,7 @@ def three_link_equilibria(
         )
 
     def closed_energy(phi, branch):
-        full = _close_chain_raw(lengths, [phi], tx, 0.0, branch)
-        if full is None:
-            return math.inf, None
-        total_e = 0.0
-        for i in range(3):
-            dq = full[i] - reference[i]
-            total_e += stiffness[i] * dq * dq
-        return 0.5 * total_e, full
+        return _closed_energy(lengths, stiffness, reference, [phi], tx, 0.0, branch)
 
     found = []  # (kind, energy, full configuration)
 

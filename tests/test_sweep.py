@@ -24,6 +24,7 @@ from elastichain import (
     twolink_critical,
     twolink_curve,
 )
+from elastichain.sweep import NO_CLOSURE
 
 # unloaded shape of the three-link chain with spring references
 # (-pi/4, -pi/3) at the two active joints, solved so the tip sits on the axis
@@ -426,6 +427,7 @@ class TestSweep:
         assert 0 < len(result.points) < 10
         last = result.points[-1].deflection.delta_x
         assert last < result.truncation.delta_x
+        assert result.truncation.reason == NO_CLOSURE
 
     def test_disconnected_lower_minima_become_advisories(self):
         # swept far enough, the folded shape family connected to this start
@@ -440,6 +442,48 @@ class TestSweep:
             assert adv.angle_gap > 1e-3
         energies = [p.strain_energy for p in result.points]
         assert all(b >= a - 1e-12 for a, b in zip(energies, energies[1:]))
+
+    def test_boundary_closures_are_not_advisories(self):
+        # at delta = 1.3 this lead closes the chain on the closure boundary,
+        # with the last two links collinear, below the path's energy; it is
+        # no equilibrium, so it must not become an advisory
+        chain = ChainModel([1.0] * 4, [1.0] * 4)
+        ref = np.array([-0.2417, 0.6821, -0.795745, 0.517015])
+        target = PlanarPoint(forward_kinematics(chain, ref).x - 1.3, 0.0)
+        lead = [0.6064349101705053, 0.5970408286770328]
+        assert close_chain(chain, lead, target, +1)[-1] == 0.0
+        energy = reduced_energy(chain, relaxed(ref), lead, target, +1)
+        assert energy == pytest.approx(1.28852, abs=1e-5)
+
+        req = SweepRequest(chain, relaxed(ref), 1.5, 16, seeds=4)
+        result = sweep_force_deflection(req, seed=1)
+        assert result.advisories
+        assert not [
+            adv for adv in result.advisories
+            if abs(adv.alternative_energy - energy) < 1e-4
+        ]
+
+    @pytest.mark.parametrize("shape", [
+        (-0.3179, 0.0558, 0.3804, 0.3524),
+        (-0.2417, 0.6821, -0.7958, 0.5170),
+    ])
+    def test_mirror_symmetry(self, shape):
+        # q -> -q reflects the chain in the sweep axis: same fx, negated fy
+        chain = ChainModel([1.0] * 4, [1.0] * 4)
+        runs = [
+            sweep_force_deflection(
+                SweepRequest(chain, relaxed(sign * np.asarray(shape)), 0.6, 30, seeds=0)
+            )
+            for sign in (1.0, -1.0)
+        ]
+        plain, mirror = (run.points for run in runs)
+        assert len(plain) == len(mirror) == 30
+        for a, b in zip(plain, mirror):
+            assert b.force.fx == pytest.approx(a.force.fx, abs=1e-9)
+            assert b.force.fy == pytest.approx(-a.force.fy, abs=1e-9)
+            np.testing.assert_allclose(
+                b.configuration.angles, -a.configuration.angles, atol=1e-9
+            )
 
     def test_rejects_preloaded_start(self):
         chain = u_plus_chain()
