@@ -13,7 +13,6 @@ the forward kinematics.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,10 +40,12 @@ from .statics import EquilibriumPoint, PlanarForce, recover_force
 # Eigenvalues of the reduced Hessian within this fraction of its largest
 # entry are treated as zero when classifying stability.
 STABILITY_TOLERANCE = 1e-6
-# Newton solves of the reduced energy: converged once the gradient is below
-# GRADIENT_TOLERANCE times the largest stiffness and a step no longer halves
-# it; Hessian eigenvalues floored on the same scale; Armijo factor, energy
-# rounding forgiven (relative to energy plus that scale), smallest step.
+# Newton solves of the reduced energy: converged once a step no longer halves
+# the gradient and either the gradient is below GRADIENT_TOLERANCE times the
+# largest stiffness or the step norm is below ROUNDING relative to the angles
+# (stiff minima by a folded elbow); Hessian eigenvalues floored on the
+# stiffness scale; Armijo factor, energy rounding forgiven (relative to
+# energy plus that scale), smallest step.
 NEWTON_ITERATIONS = 100
 GRADIENT_TOLERANCE = 1e-12
 CURVATURE_FLOOR = 1e-8
@@ -52,9 +53,12 @@ ARMIJO = 1e-4
 ROUNDING = 1e-14
 MIN_STEP = 1e-10
 # |sin q_n| at which the closure is singular (last two links collinear), and
-# below which negative curvature means a descent slides onto that boundary.
+# below which negative curvature while |sin q_n| still shrinks means a
+# descent slides onto that boundary.
 SINGULAR_SINE = 1e-8
 BOUNDARY_SINE = 0.05
+# Times a sweep step whose warm solve fails is halved before giving up.
+STEP_HALVINGS = 4
 NO_CLOSURE = "no feasible closure from any start or branch"
 NO_EQUILIBRIUM = "no start converged to an equilibrium"
 # Grid density of the closed-loop scan behind three_link_equilibria.
@@ -357,8 +361,15 @@ def _reduced_derivatives(chain, reference, full):
     return force, basis.T @ tau, hessian, jac.T @ force + tau
 
 
-# An equilibrium reached by _newton_minimize, with its derivatives.
-_Solve = namedtuple("_Solve", "energy full force hessian residual")
+@dataclass(frozen=True)
+class _Solve:
+    """An equilibrium reached by _newton_minimize, with its derivatives."""
+
+    energy: float
+    full: np.ndarray
+    force: np.ndarray
+    hessian: np.ndarray
+    residual: np.ndarray
 
 
 def _newton_minimize(chain, reference, lead, tx, branch):
@@ -368,8 +379,9 @@ def _newton_minimize(chain, reference, lead, tx, branch):
     floored magnitudes, so they always descend and cannot settle on a
     saddle; the Armijo backtracking treats infeasible closures as +inf. At
     the closure boundary J_t is singular and the energy has a square-root
-    singularity: a descent that meets negative curvature near it is sliding
-    onto it, and this branch has no equilibrium there.
+    singularity: a descent that meets negative curvature near it while still
+    approaching it is sliding onto it, and this branch has no equilibrium
+    there.
 
     Returns the _Solve at an equilibrium, or None when the start is
     infeasible or the descent reaches no equilibrium.
@@ -387,6 +399,7 @@ def _newton_minimize(chain, reference, lead, tx, branch):
     if full is None:
         return None
     previous = math.inf
+    previous_sine = 0.0  # the start has no direction of approach
     for _ in range(NEWTON_ITERATIONS):
         sine = abs(math.sin(full[-1]))
         if sine <= SINGULAR_SINE:
@@ -394,15 +407,19 @@ def _newton_minimize(chain, reference, lead, tx, branch):
         force, gradient, hessian, residual = _reduced_derivatives(
             chain, reference, full
         )
+        values, vectors = np.linalg.eigh(hessian)
+        curvature = np.maximum(np.abs(values), CURVATURE_FLOOR * scale)
+        step = -vectors @ ((vectors.T @ gradient) / curvature)
         norm = float(np.linalg.norm(gradient))
-        if norm <= GRADIENT_TOLERANCE * scale and norm >= 0.5 * previous:
+        if norm >= 0.5 * previous and (
+            norm <= GRADIENT_TOLERANCE * scale
+            or step @ step <= ROUNDING * ROUNDING * (1.0 + lead @ lead)
+        ):
             return _Solve(energy, np.asarray(full), force, hessian, residual)
         previous = norm
-        values, vectors = np.linalg.eigh(hessian)
-        if values[0] < 0.0 and sine < BOUNDARY_SINE:
+        if values[0] < 0.0 and sine < min(BOUNDARY_SINE, previous_sine):
             return None
-        values = np.maximum(np.abs(values), CURVATURE_FLOOR * scale)
-        step = -vectors @ ((vectors.T @ gradient) / values)
+        previous_sine = sine
         slope = float(gradient @ step)
         alpha = 1.0
         while True:
@@ -416,6 +433,31 @@ def _newton_minimize(chain, reference, lead, tx, branch):
                 return None
         lead, energy, full = trial, trial_energy, trial_full
     return None
+
+
+def _continue(chain, reference, full, branch, tx_from, tx, depth):
+    """Warm solve at tx continued from the equilibrium `full` at tx_from.
+
+    It starts from the leading angles of `full`, then from their Gauss-Newton
+    projection q + J^+ (target - p(q)) onto the new end-point: that
+    correction moves every joint, so near a folded elbow it keeps the wrist
+    within reach where the unchanged leading angles no longer are. If
+    neither start reaches an equilibrium the step is halved, at most `depth`
+    times. Returns the _Solve at tx, or None.
+    """
+    solve = _newton_minimize(chain, reference, full[:-2], tx, branch)
+    if solve is None:
+        point = forward_kinematics(chain, full)
+        miss = np.array([tx - point.x, -point.y])
+        projected = full + np.linalg.lstsq(jacobian(chain, full), miss, rcond=None)[0]
+        solve = _newton_minimize(chain, reference, projected[:-2], tx, branch)
+    if solve is not None or depth == 0:
+        return solve
+    middle_tx = 0.5 * (tx_from + tx)
+    middle = _continue(chain, reference, full, branch, tx_from, middle_tx, depth - 1)
+    if middle is None:
+        return None
+    return _continue(chain, reference, middle.full, branch, middle_tx, tx, depth - 1)
 
 
 def _recover_with_guard(chain, config):
@@ -474,16 +516,18 @@ def sweep_force_deflection(
     """Trace the force-deflection path of a non-straight chain.
 
     Each delta_x sample minimizes the reduced strain energy by modified
-    Newton steps, warm-started from the previous point and fortified with
-    random restarts over the allowed elbow branches. The path follows the
-    warm-started basin (physical continuation); restarts that find lower,
-    disconnected minima are logged as advisories rather than jumped to.
+    Newton steps, warm-started from the previous point (see _continue) and
+    fortified with random restarts over the allowed elbow branches. The
+    path follows the warm-started basin (physical continuation); restarts
+    that find lower, disconnected minima are logged as advisories rather
+    than jumped to.
     Solves that slide onto the closure boundary are not equilibria and
     count as neither. A point's force is the constraint multiplier, its
     stability comes from the analytic reduced Hessian. Strain energy is
     checked for monotone growth and any violation is noted on the branch
-    log. A step where no start has a feasible closure (NO_CLOSURE), or none
-    converges to an equilibrium (NO_EQUILIBRIUM), truncates the sweep.
+    log. A step whose end-point lies out of the chain's reach (NO_CLOSURE),
+    or where no start converges to an equilibrium (NO_EQUILIBRIUM),
+    truncates the sweep.
     """
     chain = request.chain
     n = chain.n
@@ -497,9 +541,9 @@ def sweep_force_deflection(
     pre_displacement = chain.total_length - x0
 
     deltas = np.linspace(0.0, request.delta_max, request.steps)
-    warm_lead = np.asarray(reference[: n - 2], dtype=float)
     previous_full = ref_config.copy()
     previous_branch = branch0
+    previous_tx = x0
 
     points: list[EquilibriumPoint] = []
     log: list[SweepStepRecord] = []
@@ -517,23 +561,24 @@ def sweep_force_deflection(
             b for b in request.branches if b != previous_branch
         ]
 
-        starts = [
-            (branch, restart, warm_lead + offset)
-            for branch in ordered_branches
-            for restart, offset in enumerate(offsets)
-        ]
         candidates = []  # (solve, branch, restart)
-        for branch, restart, start in starts:
-            solve = _newton_minimize(chain, reference, start, tx, branch)
-            if solve is not None:
-                candidates.append((solve, branch, restart))
+        for branch in ordered_branches:
+            for restart, offset in enumerate(offsets):
+                if restart == 0 and branch == previous_branch:
+                    solve = _continue(
+                        chain, reference, previous_full, branch, previous_tx, tx,
+                        STEP_HALVINGS,
+                    )
+                else:
+                    start = previous_full[:-2] + offset
+                    solve = _newton_minimize(chain, reference, start, tx, branch)
+                if solve is not None:
+                    candidates.append((solve, branch, restart))
 
         if not candidates:
-            feasible = any(
-                _close_chain_raw(chain.link_lengths, start.tolist(), tx, 0.0, branch)
-                for branch, _, start in starts
-            )
-            reason = NO_EQUILIBRIUM if feasible else NO_CLOSURE
+            # no shape of the chain reaches closer to its base than this
+            inner = 2.0 * float(np.max(chain.link_lengths)) - chain.total_length
+            reason = NO_EQUILIBRIUM if abs(tx) >= inner else NO_CLOSURE
             truncation = SweepTruncation(delta_x=float(delta), reason=reason)
             break
 
@@ -545,7 +590,7 @@ def sweep_force_deflection(
             )
         else:
             solve, branch, restart = min(candidates, key=lambda c: c[0].energy)
-            note = "warm start infeasible; continued from a restart"
+            note = "no warm equilibrium; continued from a restart"
 
         for other, other_branch, _ in candidates:
             gap = float(np.max(np.abs(other.full[:-2] - solve.full[:-2])))
@@ -576,9 +621,9 @@ def sweep_force_deflection(
             )
         )
         log.append(SweepStepRecord(float(delta), branch, restart, note))
-        warm_lead = solve.full[:-2]
         previous_full = solve.full
         previous_branch = branch
+        previous_tx = tx
 
     for i in range(1, len(points)):
         drop = points[i - 1].strain_energy - points[i].strain_energy

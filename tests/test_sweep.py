@@ -24,7 +24,8 @@ from elastichain import (
     twolink_critical,
     twolink_curve,
 )
-from elastichain.sweep import NO_CLOSURE
+from elastichain import sweep as sweep_module
+from elastichain.sweep import NO_CLOSURE, _newton_minimize
 
 # unloaded shape of the three-link chain with spring references
 # (-pi/4, -pi/3) at the two active joints, solved so the tip sits on the axis
@@ -417,6 +418,8 @@ class TestSweep:
         assert all(b >= a - 1e-12 for a, b in zip(energies, energies[1:]))
 
     def test_truncates_when_path_dies(self):
+        # no shape of links (4, 1, 1, 1) reaches closer than 4 - 3 = 1 to
+        # the base; the path is followed up to that wall and stops there
         chain = ChainModel([4.0, 1.0, 1.0, 1.0], [1.0] * 4)
         start = close_chain(chain, [0.1, -0.1], PlanarPoint(4.1, 0.0), +1)
         req = SweepRequest(chain, relaxed(start), 3.8, 10, seeds=2)
@@ -428,6 +431,31 @@ class TestSweep:
         last = result.points[-1].deflection.delta_x
         assert last < result.truncation.delta_x
         assert result.truncation.reason == NO_CLOSURE
+        assert 4.1 - result.truncation.delta_x < 1.0 < 4.1 - last
+        for point in result.points:
+            assert point.stability == "stable"
+            assert point.residual_norm < 1e-10
+
+    def test_warm_start_projected_past_folding_elbow(self):
+        # the path runs towards a folded elbow (q_3 -> -pi); the previous
+        # leading angle then no longer closes the chain at the next step,
+        # and the warm solve starts from its projection onto the new target;
+        # the last minima are so stiff that the gradient stalls above its
+        # tolerance and only the rounding-level step ends the solve
+        chain = ChainModel([0.9956, 0.7463, 1.3385], [0.7702, 1.7932, 0.7674])
+        start = close_chain(chain, [0.1778], PlanarPoint(1.83, 0.0), -1)
+        req = SweepRequest(chain, relaxed(start), 0.73, 20, seeds=2)
+        result = sweep_force_deflection(req, seed=3)
+        assert result.truncation is None
+        assert len(result.points) == 20
+        assert {rec.restart for rec in result.branch_log} == {0}
+        assert {rec.branch for rec in result.branch_log} == {-1}
+        for point in result.points:
+            assert point.stability == "stable"
+            assert point.residual_norm < 1e-10
+        folds = [p.configuration.angles[-1] for p in result.points]
+        assert all(b < a for a, b in zip(folds, folds[1:]))
+        assert abs(math.sin(folds[-1])) < 0.01
 
     def test_disconnected_lower_minima_become_advisories(self):
         # swept far enough, the folded shape family connected to this start
@@ -509,6 +537,46 @@ class TestSweep:
             np.testing.assert_array_equal(
                 pa.configuration.angles, pb.configuration.angles
             )
+
+
+class TestNewtonMinimize:
+    def test_slide_onto_closure_boundary_stops_early(self, monkeypatch):
+        # on the branch opposite the path the descent slides onto the
+        # closure boundary (q_4 -> 0); it is given up at the first iterate
+        # within |sin q_4| < 0.05 instead of running on towards q_4 = 0
+        chain = ChainModel([1.0] * 4, [1.0] * 4)
+        ref = np.array([-0.3179, 0.0558, 0.3804, 0.3524])
+        tx = forward_kinematics(chain, ref).x - 0.1
+        sines = []
+        derivatives = sweep_module._reduced_derivatives
+
+        def recorded(chain, reference, full):
+            sines.append(abs(math.sin(full[-1])))
+            return derivatives(chain, reference, full)
+
+        monkeypatch.setattr(sweep_module, "_reduced_derivatives", recorded)
+        assert _newton_minimize(chain, tuple(ref), ref[:2], tx, -1) is None
+        assert sines[-1] < 0.05 <= min(sines[:-1])
+        assert all(b < a for a, b in zip(sines, sines[1:]))
+
+    def test_descent_leaving_closure_boundary_is_kept(self):
+        # the start lies within |sin q_4| < 0.05 with negative curvature,
+        # but the descent moves away from the boundary to a stable minimum
+        chain = ChainModel(
+            [0.7332, 0.9476, 0.6706, 0.9579], [1.2415, 1.6765, 0.6636, 1.0953]
+        )
+        ref = (0.5611, -0.3235, 0.6724, 0.4368)
+        lead = np.array([-0.7208, 1.6736])
+        start = close_chain(chain, lead, PlanarPoint(1.0757, 0.0), +1)
+        assert abs(math.sin(start[-1])) < 0.05
+        hessian = sweep_module._reduced_derivatives(chain, np.asarray(ref), start)[2]
+        assert np.linalg.eigvalsh(hessian)[0] < 0.0
+
+        solve = _newton_minimize(chain, ref, lead, 1.0757, +1)
+        assert solve is not None
+        assert classify_stability(solve.hessian) == ("stable", False)
+        assert np.linalg.norm(solve.residual) < 1e-12
+        assert abs(math.sin(solve.full[-1])) > 0.5
 
 
 def test_jacobian_column_structure_supports_reduction():
