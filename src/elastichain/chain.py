@@ -231,7 +231,12 @@ def _ik_two_link_raw(
         c2 = 1.0
     elif c2 < -1.0:
         c2 = -1.0
-    s2 = branch * math.sqrt(max(0.0, 1.0 - c2 * c2))
+    # 1 - c2^2 = (1 - c2)(1 + c2), each factor from the squared distance to
+    # one edge of the annulus; taken from c2 itself it loses digits near the
+    # inner edge when the two links are nearly equal
+    gap = l_a - l_b
+    s2 = branch * math.sqrt(max(0.0, (reach * reach - d2) * (d2 - gap * gap)))
+    s2 /= 2.0 * l_a * l_b
     q_b = math.atan2(s2, c2)
     q_a = math.atan2(dy, dx) - math.atan2(l_b * s2, l_a + l_b * c2) - heading
     # keep the proximal angle in (-pi, pi] so spring deflections stay bounded

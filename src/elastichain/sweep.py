@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .chain import (
     ChainModel,
@@ -29,13 +28,8 @@ from .chain import (
     forward_kinematics,
     jacobian,
 )
-from .errors import (
-    NotApplicableError,
-    SingularConfigurationError,
-    SingularSampleError,
-    UnreachableTargetError,
-)
-from .statics import EquilibriumPoint, PlanarForce, recover_force
+from .errors import NotApplicableError, SingularSampleError, UnreachableTargetError
+from .statics import EquilibriumPoint, PlanarForce
 
 # Eigenvalues of the reduced Hessian within this fraction of its largest
 # entry are treated as zero when classifying stability.
@@ -363,13 +357,28 @@ def _reduced_derivatives(chain, reference, full):
 
 @dataclass(frozen=True)
 class _Solve:
-    """An equilibrium reached by _newton_minimize, with its derivatives."""
+    """A closed configuration with its energy and _reduced_derivatives."""
 
     energy: float
     full: np.ndarray
     force: np.ndarray
+    gradient: np.ndarray
     hessian: np.ndarray
     residual: np.ndarray
+
+    def point(self, stability, delta, reference, pre_displacement):
+        """The EquilibriumPoint at axial deflection delta."""
+        # + 0.0 turns the -0.0 of an unloaded point into 0.0
+        fx, fy = float(self.force[0]) + 0.0, float(self.force[1]) + 0.0
+        return EquilibriumPoint(
+            configuration=Configuration(self.full, reference),
+            deflection=DeflectionState(delta, 0.0, pre_displacement),
+            force=PlanarForce(fx, fy),
+            strain_energy=self.energy,
+            potential_energy=self.energy - fx * delta,
+            stability=stability,
+            residual_norm=float(np.linalg.norm(self.residual)),
+        )
 
 
 def _newton_minimize(chain, reference, lead, tx, branch):
@@ -404,9 +413,8 @@ def _newton_minimize(chain, reference, lead, tx, branch):
         sine = abs(math.sin(full[-1]))
         if sine <= SINGULAR_SINE:
             return None
-        force, gradient, hessian, residual = _reduced_derivatives(
-            chain, reference, full
-        )
+        derivatives = _reduced_derivatives(chain, reference, full)
+        _, gradient, hessian, _ = derivatives
         values, vectors = np.linalg.eigh(hessian)
         curvature = np.maximum(np.abs(values), CURVATURE_FLOOR * scale)
         step = -vectors @ ((vectors.T @ gradient) / curvature)
@@ -415,7 +423,7 @@ def _newton_minimize(chain, reference, lead, tx, branch):
             norm <= GRADIENT_TOLERANCE * scale
             or step @ step <= ROUNDING * ROUNDING * (1.0 + lead @ lead)
         ):
-            return _Solve(energy, np.asarray(full), force, hessian, residual)
+            return _Solve(energy, np.asarray(full), *derivatives)
         previous = norm
         if values[0] < 0.0 and sine < min(BOUNDARY_SINE, previous_sine):
             return None
@@ -458,15 +466,6 @@ def _continue(chain, reference, full, branch, tx_from, tx, depth):
     if middle is None:
         return None
     return _continue(chain, reference, middle.full, branch, middle_tx, tx, depth - 1)
-
-
-def _recover_with_guard(chain, config):
-    """Force recovery that tolerates torque-free singular configurations."""
-    tau = chain.joint_stiffness * config.displacement
-    tiny = 1e-9 * float(np.max(chain.joint_stiffness))
-    if float(np.max(np.abs(tau))) <= tiny:
-        return PlanarForce(0.0, 0.0), float(np.linalg.norm(tau))
-    return recover_force(chain, config)
 
 
 def _snap_to_axis(chain, config, branches):
@@ -607,19 +606,7 @@ def sweep_force_deflection(
         if degenerate:
             note = (note + "; " if note else "") + "degenerate stability"
 
-        # + 0.0 turns the -0.0 of an unloaded point into 0.0
-        fx, fy = float(solve.force[0]) + 0.0, float(solve.force[1]) + 0.0
-        points.append(
-            EquilibriumPoint(
-                configuration=Configuration(solve.full, ref_config),
-                deflection=DeflectionState(float(delta), 0.0, pre_displacement),
-                force=PlanarForce(fx, fy),
-                strain_energy=solve.energy,
-                potential_energy=solve.energy - fx * float(delta),
-                stability=stability,
-                residual_norm=float(np.linalg.norm(solve.residual)),
-            )
-        )
+        points.append(solve.point(stability, float(delta), ref_config, pre_displacement))
         log.append(SweepStepRecord(float(delta), branch, restart, note))
         previous_full = solve.full
         previous_branch = branch
@@ -678,6 +665,95 @@ def _feasible_arcs(lengths, tx, ty):
     return [(psi + inner, psi + outer), (psi - outer, psi - inner)]
 
 
+def _loop_energies(lengths, stiffness, reference, phi, tx, branch):
+    """_closed_energy of a three-link chain over arrays of first-joint angles.
+
+    The closure repeats _ik_two_link_raw elementwise, with its reach
+    tolerance and q2 wrapped into [-pi, pi]; infeasible angles give +inf.
+    """
+    l1, la, lb = lengths
+    dx, dy = tx - l1 * np.cos(phi), -l1 * np.sin(phi)
+    d2 = dx * dx + dy * dy
+    reach, gap = la + lb, la - lb
+    c2 = np.clip((d2 - la * la - lb * lb) / (2.0 * la * lb), -1.0, 1.0)
+    s2 = branch * np.sqrt(np.maximum(0.0, (reach * reach - d2) * (d2 - gap * gap)))
+    s2 /= 2.0 * la * lb
+    q2 = np.arctan2(dy, dx) - np.arctan2(lb * s2, la + lb * c2) - phi
+    q2 -= math.tau * np.round(q2 / math.tau)
+    angles = (phi, q2, np.arctan2(s2, c2))
+    total = sum(k * (q - r) * (q - r) for k, q, r in zip(stiffness, angles, reference))
+    d, tol = np.sqrt(d2), 1e-9 * reach
+    return np.where((d <= reach + tol) & (d >= abs(gap) - tol), 0.5 * total, np.inf)
+
+
+def _newton_bisection(at, x, solve, other):
+    """Zero of the reduced gradient g(phi) between x and `other`.
+
+    `at` maps an angle to its _Solve (None on the closure boundary); g at
+    `other` is taken to have the sign opposite to g at x. Newton steps are
+    replaced by bisection of that bracket whenever they would leave it or
+    shrink too slowly. Returns the iterate of smallest |g| (rounding can push
+    the last step past it), or None once an iterate reaches the boundary.
+    """
+    best, step = solve, abs(other - x)
+    for _ in range(NEWTON_ITERATIONS):
+        g, h = solve.gradient[0], solve.hessian[0, 0]
+        newton = x - g / h if h else math.inf
+        if newton == x:
+            break
+        if (newton - x) * (newton - other) < 0.0 and abs(newton - x) < 0.5 * step:
+            trial = newton
+        else:
+            trial = 0.5 * (x + other)
+        step = abs(trial - x)
+        trial_solve = at(trial)
+        if trial_solve is None:
+            return None
+        if trial_solve.gradient[0] * g < 0.0:
+            other = x
+        x, solve = trial, trial_solve
+        best = min(best, solve, key=lambda s: abs(s.gradient[0]))
+        if step <= ROUNDING * (1.0 + abs(x)):
+            break
+    return best
+
+
+def _interval_equilibria(chain, reference, tx, branch, ends):
+    """Equilibria of one elbow branch with the first-joint angle within `ends`.
+
+    g must change sign over the interval. An end on the closure boundary
+    (|sin q3| <= SINGULAR_SINE, where g is infinite) takes the sign opposite
+    to the other end's; so does an end across a 2 pi wrap of q2, where the
+    energy jumps, and then either end may start the search. A limit that
+    does not balance torques to 1e-9 max(1, max|tau|) is a kink of the
+    wrapped energy or of the boundary, not an equilibrium.
+    """
+    lengths = tuple(float(v) for v in chain.link_lengths)
+
+    def at(phi):
+        energy, full = _closed_energy(
+            lengths, chain.joint_stiffness, reference, [phi], tx, 0.0, branch
+        )
+        if full is None or abs(math.sin(full[-1])) <= SINGULAR_SINE:
+            return None
+        return _Solve(energy, np.asarray(full), *_reduced_derivatives(chain, reference, full))
+
+    starts = [(phi, solve) for phi, solve in zip(ends, map(at, ends)) if solve is not None]
+    if len(starts) == 2 and abs(starts[0][1].full[1] - starts[1][1].full[1]) < math.pi:
+        if starts[0][1].gradient[0] * starts[1][1].gradient[0] > 0.0:
+            return []
+        starts = [min(starts, key=lambda item: abs(item[1].gradient[0]))]
+    found = []
+    for x, solve in starts:
+        solve = _newton_bisection(at, x, solve, ends[1] if x == ends[0] else ends[0])
+        if solve is None:
+            continue
+        tau = chain.joint_stiffness * (solve.full - reference)
+        if np.linalg.norm(solve.residual) <= 1e-9 * max(1.0, float(np.max(np.abs(tau)))):
+            found.append(solve)
+    return found
+
+
 def three_link_equilibria(
     chain: ChainModel, initial_config: Configuration, delta: float
 ) -> list[EquilibriumPoint]:
@@ -685,9 +761,11 @@ def three_link_equilibria(
 
     With the end-point pinned, a single angle parameterizes the chain; its
     strain energy over the feasible intervals of both elbow branches forms
-    closed loops. Every local minimum is a stable equilibrium and every
-    local maximum an unstable one. Points are returned sorted by strain
-    energy.
+    closed loops. A grid scan of each loop brackets its extrema, and a
+    safeguarded Newton iteration on the first-joint angle refines each to a
+    zero of the reduced gradient (_interval_equilibria); minima are stable,
+    maxima unstable. Kinks where the wrapped energy jumps are not
+    equilibria and are dropped. Points are returned sorted by strain energy.
 
     Raises:
         UnreachableTargetError: no first-joint angle reaches the deflected
@@ -722,91 +800,49 @@ def three_link_equilibria(
             f"no configuration reaches the deflected end-point x = {tx:.6g}"
         )
 
-    def closed_energy(phi, branch):
-        return _closed_energy(lengths, stiffness, reference, [phi], tx, 0.0, branch)
-
-    found = []  # (kind, energy, full configuration)
-
+    found = []
     for lo, hi in arcs:
         span = hi - lo
         if span < 1e-10:
-            phi = 0.5 * (lo + hi)
+            # a single closure, kept when torque-free (the unloaded straight
+            # chain); it has no free coordinate, so its reduced Hessian is empty
             for branch in (1, -1):
-                energy, full = closed_energy(phi, branch)
-                if full is not None:
-                    found.append(("min", energy, np.asarray(full)))
+                energy, full = _closed_energy(
+                    lengths, stiffness, reference, [0.5 * (lo + hi)], tx, 0.0, branch
+                )
+                if full is None:
+                    continue
+                tau = stiffness * (np.asarray(full) - reference)
+                if np.max(np.abs(tau)) <= 1e-9 * np.max(stiffness):
+                    found.append(_Solve(
+                        energy, np.asarray(full), np.zeros(2), np.zeros(0),
+                        np.zeros((0, 0)), tau,
+                    ))
             continue
 
-        # walk the loop: + branch forward, then - branch backward
-        def on_loop(t):
-            t = t % 1.0
-            if t < 0.5:
-                return lo + (t / 0.5) * span, 1
-            return hi - ((t - 0.5) / 0.5) * span, -1
-
+        # walk the loop: + branch forward over [lo, hi], then - branch back
         ts = np.linspace(0.0, 1.0, THREE_LINK_GRID, endpoint=False)
-        values = np.empty(ts.size)
-        for i, t in enumerate(ts):
-            phi, branch = on_loop(t)
-            values[i] = closed_energy(phi, branch)[0]
-        finite = np.isfinite(values)
-        if not finite.any():
-            continue
-        values[~finite] = np.inf
+        forward = ts < 0.5
+        phis = np.where(forward, lo + 2.0 * ts * span, hi - (2.0 * ts - 1.0) * span)
+        branches = np.where(forward, 1, -1)
+        values = _loop_energies(lengths, stiffness, reference, phis, tx, branches)
+        before, after = np.roll(values, 1), np.roll(values, -1)
+        low = (values <= before) & (values <= after) & ((values < before) | (values < after))
+        high = (values >= before) & (values >= after) & ((values > before) | (values > after))
+        for i in np.flatnonzero(np.isfinite(values) & (low | high)):
+            # the grid intervals on either side, each on the branch of its start
+            for j in (i - 1, i):
+                ends = (float(phis[j]), float(phis[(j + 1) % ts.size]))
+                found += _interval_equilibria(chain, reference, tx, int(branches[j]), ends)
 
-        count = ts.size
-        for i in range(count):
-            here = values[i]
-            if not np.isfinite(here):
-                continue
-            before = values[(i - 1) % count]
-            after = values[(i + 1) % count]
-            if here <= before and here <= after and (here < before or here < after):
-                kind = "min"
-            elif here >= before and here >= after and (here > before or here > after):
-                kind = "max"
-            else:
-                continue
-            t_lo = ts[i] - 1.0 / count
-            t_hi = ts[i] + 1.0 / count
-            sign = 1.0 if kind == "min" else -1.0
-
-            def along(t):
-                phi, branch = on_loop(t)
-                return sign * closed_energy(phi, branch)[0]
-
-            refined = minimize_scalar(
-                along, bounds=(t_lo, t_hi), method="bounded",
-                options={"xatol": 1e-13},
-            )
-            phi, branch = on_loop(float(refined.x))
-            energy, full = closed_energy(phi, branch)
-            if full is not None:
-                found.append((kind, energy, np.asarray(full)))
-
-    found.sort(key=lambda item: item[1])
+    found.sort(key=lambda solve: solve.energy)
     unique = []
-    for kind, energy, full in found:
-        if all(np.max(np.abs(full - other[2])) > DEDUPE_TOLERANCE for other in unique):
-            unique.append((kind, energy, full))
-
+    for solve in found:
+        if all(np.max(np.abs(solve.full - other.full)) > DEDUPE_TOLERANCE for other in unique):
+            unique.append(solve)
     reference_vec = np.asarray(reference)
     pre_displacement = total - start.x
-    points = []
-    for kind, energy, full in unique:
-        config = Configuration(full, reference_vec)
-        force, residual = _recover_with_guard(chain, config)
-        points.append(
-            EquilibriumPoint(
-                configuration=config,
-                deflection=DeflectionState(
-                    delta_x=delta, delta_y=0.0, pre_displacement=pre_displacement
-                ),
-                force=force,
-                strain_energy=energy,
-                potential_energy=energy - force.fx * delta,
-                stability="stable" if kind == "min" else "unstable",
-                residual_norm=residual,
-            )
-        )
-    return points
+    return [
+        solve.point(classify_stability(solve.hessian)[0], delta, reference_vec, pre_displacement)
+        for solve in unique
+    ]

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import elastichain
 from elastichain.cli import load_config, main
 
 
@@ -309,3 +314,13 @@ def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit) as info:
         main(["polish"])
     assert info.value.code == 2
+
+
+def test_import_leaves_scipy_out():
+    """The package and its CLI need numpy and the standard library only."""
+    src = pathlib.Path(elastichain.__file__).resolve().parents[1]
+    check = "import sys, elastichain.cli; assert 'scipy' not in sys.modules"
+    subprocess.run(
+        [sys.executable, "-c", check], env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+    )

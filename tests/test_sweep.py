@@ -25,7 +25,7 @@ from elastichain import (
     twolink_curve,
 )
 from elastichain import sweep as sweep_module
-from elastichain.sweep import NO_CLOSURE, _newton_minimize
+from elastichain.sweep import NO_CLOSURE, _closed_energy, _loop_energies, _newton_minimize
 
 # unloaded shape of the three-link chain with spring references
 # (-pi/4, -pi/3) at the two active joints, solved so the tip sits on the axis
@@ -277,6 +277,91 @@ class TestThreeLinkEquilibria:
                 tip = forward_kinematics(chain, eq.configuration.angles)
                 assert tip.x == pytest.approx(2.2128207049 - delta, abs=1e-9)
                 assert tip.y == pytest.approx(0.0, abs=1e-9)
+
+    def test_loop_energies_match_the_scalar_closure(self):
+        """The vectorised grid energy against _closed_energy, point by point."""
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            lengths = tuple(rng.uniform(0.5, 1.5, 3))
+            stiffness = tuple(rng.uniform(0.0, 2.0, 3))
+            reference = tuple(rng.uniform(-3.0, 3.0, 3))
+            tx = float(rng.uniform(-0.5, 3.0))
+            phis = rng.uniform(-math.pi, math.pi, 200)
+            branches = rng.choice([-1, 1], 200)
+            grid = _loop_energies(lengths, stiffness, reference, phis, tx, branches)
+            for phi, branch, value in zip(phis, branches, grid):
+                energy, _ = _closed_energy(
+                    lengths, stiffness, reference, [float(phi)], tx, 0.0, int(branch)
+                )
+                if math.isinf(energy):
+                    assert math.isinf(value)
+                else:
+                    assert value == pytest.approx(energy, rel=1e-12, abs=1e-12)
+
+    def test_u_plus_grid_balances_to_rounding(self):
+        chain = u_plus_chain()
+        for delta in np.round(0.05 * np.arange(1, 21), 2):
+            for eq in three_link_equilibria(chain, relaxed(U_PLUS_REFS), delta):
+                tau = chain.joint_stiffness * eq.configuration.displacement
+                r = equilibrium_residual(chain, eq.configuration, eq.force)
+                assert np.linalg.norm(r) <= 1e-12 * max(1.0, np.max(np.abs(tau)))
+                assert eq.residual_norm == pytest.approx(np.linalg.norm(r), abs=1e-15)
+
+    def test_kinks_of_the_wrapped_energy_are_not_equilibria(self):
+        """Grid kinks at q3 = +-pi and at the +-pi wrap of q2 balance no torques.
+
+        Five such kinks sit among the grid extrema here; refined onto, they
+        leave torque residuals of 0.27 to 6.2. Only the three equilibria
+        remain.
+        """
+        chain = ChainModel([1.2524, 0.8345, 1.0349], [0.0, 1.8465, 1.7663])
+        cfg = self.on_axis(chain, (0.0932, 0.4241, -1.0541))
+        eqs = three_link_equilibria(chain, cfg, 1.5627)
+        for eq in eqs:
+            tau = chain.joint_stiffness * eq.configuration.displacement
+            r = equilibrium_residual(chain, eq.configuration, eq.force)
+            assert np.linalg.norm(r) <= 1e-9 * max(1.0, np.max(np.abs(tau)))
+        assert [e.stability for e in eqs] == ["stable", "stable", "unstable"]
+        np.testing.assert_allclose(
+            [e.strain_energy for e in eqs], [2.0512511, 4.4923259, 18.0959059], atol=1e-6
+        )
+
+    @staticmethod
+    def on_axis(chain, angles):
+        """The relaxed shape turned about the base so that its tip lies on +x."""
+        q = np.array(angles, dtype=float)
+        tip = forward_kinematics(chain, q)
+        q[0] -= math.atan2(tip.y, tip.x)
+        return relaxed(q)
+
+    def test_equilibrium_just_past_the_q2_wrap_is_kept(self):
+        """A minimum with q2 just past -pi, one grid step from the wrap.
+
+        Across the wrap the energy jumps and g keeps its sign, so the grid
+        interval holding the minimum has no sign change between its ends.
+        """
+        chain = ChainModel([0.5325, 1.3436, 0.9701], [0.4727, 1.4853, 0.6143])
+        cfg = self.on_axis(chain, (-0.4047, -1.2596, -0.3295))
+        eqs = three_link_equilibria(chain, cfg, 0.8161)
+        wrapped = [e for e in eqs if e.configuration.angles[1] < -3.13]
+        assert [e.stability for e in wrapped] == ["stable"]
+        assert wrapped[0].residual_norm < 1e-12
+
+    def test_equilibrium_by_the_closure_boundary_balances(self):
+        """A minimum with the last two links 0.15 degrees from folded.
+
+        Near the boundary 1 - cos(q3)^2 must come from the distances to the
+        annulus edges. Computed from cos(q3) it lost enough digits to leave
+        this point a torque residual of 1e-10, and at nearby deflections one
+        above the 1e-9 that a kept point must meet.
+        """
+        chain = ChainModel([0.9631, 0.641, 0.6325], [1.2695, 1.0912, 1.2902])
+        cfg = self.on_axis(chain, (0.5083, -1.133, 2.4138))
+        eqs = three_link_equilibria(chain, cfg, 0.4478)
+        folded = [e for e in eqs if abs(math.sin(e.configuration.angles[2])) < 3e-3]
+        assert [e.stability for e in folded] == ["stable"]
+        tau = chain.joint_stiffness * folded[0].configuration.displacement
+        assert folded[0].residual_norm <= 1e-12 * max(1.0, np.max(np.abs(tau)))
 
     def test_straight_chain_unloaded_has_single_equilibrium(self):
         chain = ChainModel([1.0, 1.0, 1.0], [0.0, 1.0, 1.0])
