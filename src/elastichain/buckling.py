@@ -2,9 +2,13 @@
 
 Linearizing the equilibrium equations about the straight shape under a
 purely axial load couples the joint angles to the transverse reaction
-through reach sums of the link lengths. The result is a generalized
-eigenproblem whose nonzero eigenvalues are reciprocal critical forces and
-whose eigenvectors are the post-buckling mode directions.
+through reach sums of the link lengths. build_system assembles that as an
+(n+1) x (n+1) generalized eigenproblem whose nonzero eigenvalues are
+reciprocal critical forces. buckling_modes solves the same problem in
+heading coordinates (the cumulative joint angles), where it reduces to one
+symmetric (n-1) x (n-1) matrix: its eigenvalues are the critical forces,
+real and sorted, and its eigenvectors give the post-buckling mode
+directions.
 """
 
 from __future__ import annotations
@@ -14,19 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainModel, Configuration, DeflectionState
-from .errors import (
-    ComplexSpectrumError,
-    DegenerateModeError,
-    DegenerateModelError,
-    RankAnomalyError,
-)
+from .errors import DegenerateModeError, DegenerateModelError
 from .statics import EquilibriumPoint, PlanarForce
 
-# |lambda| below this fraction of the largest magnitude counts as one of the
-# two structural zero eigenvalues.
-ZERO_EIGENVALUE_TOLERANCE = 1e-8
-# Relative imaginary part above which an eigenvalue is reported as nonreal.
-IMAG_TOLERANCE = 1e-8
 # Entries smaller than this fraction of the vector norm have no usable sign.
 SIGN_TOLERANCE = 1e-9
 # Largest mode scaling for which the linearization is trusted.
@@ -108,13 +102,12 @@ def build_system(chain: ChainModel) -> LinearizedSystem:
     return LinearizedSystem(s1, s0, a, b)
 
 
-def _direction_energy_factor(chain: ChainModel, direction: np.ndarray) -> float:
-    """Energy factor of an angle direction; scale invariant."""
-    v = np.asarray(direction, dtype=float)
-    numerator = float(np.dot(chain.joint_stiffness, v * v))
-    partial = np.cumsum(v)
-    denominator = float(np.dot(chain.link_lengths, partial * partial))
-    if denominator <= 0.0:
+def _energy_factors(chain: ChainModel, angles: np.ndarray) -> np.ndarray:
+    """Energy factor of each column of an n x m array of angle directions."""
+    numerator = chain.joint_stiffness @ (angles * angles)
+    partial = np.cumsum(angles, axis=0)
+    denominator = chain.link_lengths @ (partial * partial)
+    if np.any(denominator <= 0.0):
         raise DegenerateModeError(
             "mode direction produces no axial deflection; energy factor "
             "is undefined"
@@ -129,7 +122,23 @@ def energy_factor(mode: BucklingMode, chain: ChainModel) -> float:
     rescaling of the vector. Equals the mode's equilibrium axial force in
     the linearized model.
     """
-    return _direction_energy_factor(chain, mode.mode_vector[: chain.n])
+    angles = np.asarray(mode.mode_vector[: chain.n], dtype=float)
+    return float(_energy_factors(chain, angles[:, None])[0])
+
+
+def _shape_labels(angles: np.ndarray) -> list[str]:
+    """Shape label of each column of an n x m array of angle directions."""
+    norms = np.linalg.norm(angles, axis=0)
+    ambiguous = (norms == 0.0) | np.any(
+        np.abs(angles) <= SIGN_TOLERANCE * norms, axis=0
+    )
+    signs = np.sign(angles)
+    changes = np.sum(signs[:-1] != signs[1:], axis=0)
+    last = angles.shape[0] - 1
+    return [
+        "unclassified" if bad else "U" if s == 1 else "Z" if s == last else f"ZU({s})"
+        for bad, s in zip(ambiguous.tolist(), changes.tolist())
+    ]
 
 
 def classify_shape(angle_direction) -> str:
@@ -140,90 +149,80 @@ def classify_shape(angle_direction) -> str:
     between "ZU(s)". Entries indistinguishable from zero make the pattern
     ambiguous and yield "unclassified".
     """
-    v = np.asarray(angle_direction, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0 or np.any(np.abs(v) <= SIGN_TOLERANCE * norm):
-        return "unclassified"
-    signs = np.sign(v)
-    changes = int(np.sum(signs[:-1] != signs[1:]))
-    if changes == 1:
-        return "U"
-    if changes == v.size - 1:
-        return "Z"
-    return f"ZU({changes})"
+    return _shape_labels(np.asarray(angle_direction, dtype=float)[:, None])[0]
 
 
-def _real_eigenvector(column: np.ndarray) -> np.ndarray:
-    """Strip the arbitrary complex phase from an eigenvector."""
-    j = int(np.argmax(np.abs(column)))
-    phase = column[j] / abs(column[j])
-    return np.real(column / phase)
+def _reduced_system(chain: ChainModel):
+    """Buckling matrix in scaled headings psi = sqrt(L) * cumsum(theta).
+
+    Returns (reduced, a, root, v, beta): a = L^-1/2 T L^-1/2 with T = D^T K D
+    tridiagonal, root = sqrt(L), and the reflector H = I - beta v v^T that
+    maps root onto the first axis. reduced, the trailing block of H a H, is a
+    on the complement of root; its eigenvalues are the critical forces.
+    """
+    k = chain.joint_stiffness
+    root = np.sqrt(chain.link_lengths)
+    a = np.diag((k + np.append(k[1:], 0.0)) / chain.link_lengths)
+    i = np.arange(chain.n - 1)
+    a[i, i + 1] = a[i + 1, i] = -k[1:] / (root[:-1] * root[1:])
+    v = root.copy()
+    v[0] += np.linalg.norm(root)
+    beta = 2.0 / float(v @ v)
+    p = beta * (a @ v)
+    q = p - 0.5 * beta * float(v @ p) * v
+    return (a - np.outer(v, q) - np.outer(q, v))[1:, 1:], a, root, v, beta
+
+
+def _checked_forces(forces: np.ndarray) -> np.ndarray:
+    """Ascending forces, rejecting a spectrum with a zero force."""
+    if forces[0] <= 1e-12 * forces[-1]:
+        raise DegenerateModelError("reduced buckling matrix is singular; two or "
+                                   "more passive joints leave a mechanism")
+    return forces
 
 
 def buckling_modes(chain: ChainModel) -> list[BucklingMode]:
     """All post-buckling modes of the straight configuration.
 
-    Solves the dense eigenproblem of the assembled pencil, discards the two
-    structural zero eigenvalues, and returns the remaining n-1 modes sorted
-    by descending |eigenvalue|, i.e. ascending critical force. The first
-    mode is the primary (lowest-force, stable) one.
+    Solves the pencil of build_system as one symmetric eigenproblem. In
+    headings phi = cumsum(theta) the joint energy is phi^T T phi with T
+    tridiagonal, the axial shortening is sum(L phi^2) and the end stays on
+    the axis where L^T phi = 0. Scaling by sqrt(L) and reflecting sqrt(L)
+    onto the first axis leaves a symmetric (n-1) x (n-1) matrix whose eigh
+    gives the n-1 critical forces, real and ascending; the transverse entry
+    of each mode comes from the bordered row. Modes are returned by
+    ascending force (descending |eigenvalue|); the first is the primary,
+    stable one. RankAnomalyError and ComplexSpectrumError are no longer
+    raised: the reduced problem has no structural zeros and a real spectrum.
 
     Raises:
-        DegenerateModelError: propagated from the system assembly.
-        RankAnomalyError: the zero-eigenvalue count is not exactly two.
-        ComplexSpectrumError: a retained eigenvalue is not numerically real.
+        DegenerateModelError: a reduced force is zero, which happens when
+            two or more joints have zero stiffness.
     """
-    system = build_system(chain)
     n = chain.n
-    matrix = np.linalg.solve(system.b, system.a)
-    eigenvalues, eigenvectors = np.linalg.eig(matrix)
-
-    magnitudes = np.abs(eigenvalues)
-    largest = float(magnitudes.max())
-    if largest == 0.0:
-        raise RankAnomalyError("the linearized system has only zero eigenvalues")
-    zero_mask = magnitudes < ZERO_EIGENVALUE_TOLERANCE * largest
-    zero_count = int(zero_mask.sum())
-    if zero_count != 2:
-        raise RankAnomalyError(
-            f"expected exactly 2 near-zero eigenvalues, found {zero_count}"
-        )
-
-    keep = np.flatnonzero(~zero_mask)
-    for i in keep:
-        if abs(eigenvalues[i].imag) > IMAG_TOLERANCE * abs(eigenvalues[i]):
-            raise ComplexSpectrumError(
-                f"eigenvalue {eigenvalues[i]:.6g} has a nonreal part beyond "
-                "tolerance; the model falls outside the validated class"
-            )
-
-    order = keep[np.argsort(-magnitudes[keep])]
-    modes = []
-    for rank, i in enumerate(order):
-        lam = float(eigenvalues[i].real)
-        vec = _real_eigenvector(eigenvectors[:, i])
-        vec = vec / np.linalg.norm(vec)
-        angles = vec[:n]
-        nonzero = np.flatnonzero(np.abs(angles) > SIGN_TOLERANCE)
-        if nonzero.size and angles[nonzero[0]] > 0.0:
-            vec = -vec
-        vec.setflags(write=False)
-        modes.append(
-            BucklingMode(
-                eigenvalue=lam,
-                mode_vector=vec,
-                axial_force=-1.0 / lam,
-                energy_factor=_direction_energy_factor(chain, vec[:n]),
-                shape_label=classify_shape(vec[:n]),
-                is_primary=(rank == 0),
-            )
-        )
-    return modes
+    reduced, a, root, v, beta = _reduced_system(chain)
+    forces, y = np.linalg.eigh(reduced)
+    forces = _checked_forces(forces).tolist()
+    psi = np.vstack([np.zeros(n - 1), y]) - beta * np.outer(v, v[1:] @ y)
+    angles = np.diff(psi / root[:, None], axis=0, prepend=0.0)
+    transverse = -((a @ root) @ psi) / chain.total_length
+    vectors = np.vstack([angles, transverse])
+    vectors /= np.linalg.norm(vectors, axis=0)
+    lead = np.argmax(np.abs(vectors[:n]) > SIGN_TOLERANCE, axis=0)
+    vectors *= np.where(vectors[lead, np.arange(n - 1)] > SIGN_TOLERANCE, -1.0, 1.0)
+    factors = _energy_factors(chain, vectors[:n]).tolist()
+    labels = _shape_labels(vectors[:n])
+    vectors = np.ascontiguousarray(vectors.T)
+    vectors.setflags(write=False)
+    return [
+        BucklingMode(-1.0 / f, vectors[r], f, factors[r], labels[r], r == 0)
+        for r, f in enumerate(forces)
+    ]
 
 
 def critical_force(chain: ChainModel) -> float:
     """Smallest compressive load that buckles the straight chain."""
-    return buckling_modes(chain)[0].axial_force
+    return float(_checked_forces(np.linalg.eigvalsh(_reduced_system(chain)[0]))[0])
 
 
 def mode_equilibrium_snapshot(

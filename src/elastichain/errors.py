@@ -18,15 +18,27 @@ class SingularConfigurationError(ElasticChainError):
 
 
 class DegenerateModelError(ElasticChainError, ValueError):
-    """Chain parameters admit no elastic model (singular system matrix)."""
+    """Chain parameters admit no elastic model (singular system matrix).
+
+    Raised when two or more joints are passive: by ChainModel when all are,
+    otherwise by build_system and the buckling solve.
+    """
 
 
 class RankAnomalyError(ElasticChainError):
-    """The linearized system produced an unexpected zero-eigenvalue count."""
+    """The linearized system produced an unexpected zero-eigenvalue count.
+
+    Kept for compatibility: the symmetric solve in buckling_modes has no
+    structural zeros to count and no longer raises it.
+    """
 
 
 class ComplexSpectrumError(ElasticChainError):
-    """An eigenvalue acquired an imaginary part beyond tolerance."""
+    """An eigenvalue acquired an imaginary part beyond tolerance.
+
+    Kept for compatibility: buckling_modes solves a symmetric problem, whose
+    spectrum is real, and no longer raises it.
+    """
 
 
 class DegenerateModeError(ElasticChainError):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elastichain import (
     ChainModel,
@@ -60,6 +62,86 @@ def test_build_system_singular_stiffness_pattern():
     chain = ChainModel([1.0, 1.0, 1.0], [0.0, 0.0, 1.0])
     with pytest.raises(DegenerateModelError):
         build_system(chain)
+
+
+@pytest.mark.parametrize("solve", [buckling_modes, critical_force])
+def test_two_passive_joints_are_degenerate(solve):
+    with pytest.raises(DegenerateModelError):
+        solve(ChainModel([1.0, 1.0, 1.0], [0.0, 0.0, 1.0]))
+
+
+def hencky(n):
+    """n links of length 1/n with stiffness n: a unit bar of unit EI."""
+    return ChainModel([1.0 / n] * n, [float(n)] * n)
+
+
+def pencil_residuals(chain, modes):
+    """|a v - lambda b v| / (|a v| + |lambda| |b v|) of each mode."""
+    system = build_system(chain)
+    v = np.array([m.mode_vector for m in modes]).T
+    lam = np.array([m.eigenvalue for m in modes])
+    av, bv = system.a @ v, system.b @ v
+    scale = np.linalg.norm(av, axis=0) + np.abs(lam) * np.linalg.norm(bv, axis=0)
+    return np.linalg.norm(av - lam * bv, axis=0) / scale
+
+
+@st.composite
+def small_chains(draw):
+    n = draw(st.integers(2, 12))
+    unit = st.floats(0.5, 2.0)
+    stiffness = draw(st.lists(unit, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        stiffness[0] = 0.0
+    return ChainModel(draw(st.lists(unit, min_size=n, max_size=n)), stiffness)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_chains())
+def test_every_mode_satisfies_the_pencil(chain):
+    assert np.max(pencil_residuals(chain, buckling_modes(chain))) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_long_chain_modes_satisfy_the_pencil(n):
+    chain = hencky(n)
+    assert np.max(pencil_residuals(chain, buckling_modes(chain))) <= 1e-10
+
+
+def test_hencky_chains_converge_to_the_clamped_pinned_euler_load():
+    # the clamped-pinned column buckles at beta^2 EI / L^2 with tan(beta) = beta
+    beta = 4.5
+    for _ in range(50):
+        beta -= (math.tan(beta) - beta) / math.tan(beta) ** 2
+    assert beta * beta == pytest.approx(20.1907, abs=1e-4)
+    sizes = [50, 100, 200, 400]
+    forces = [critical_force(hencky(n)) for n in sizes]
+    assert all(np.diff(forces) > 0.0)
+    assert all(f < beta * beta for f in forces)
+    for coarse, fine in zip(forces[1:], forces[2:]):
+        assert abs(2.0 * fine - coarse - beta * beta) < 1e-3
+
+
+def test_localized_mode_matches_extended_precision_reference():
+    # a chain of the c07 family whose highest mode decays toward the base;
+    # the reference solves build_system's pencil with 40-digit arithmetic
+    chain = ChainModel(
+        [7.1677066457827365, 3.0159897632738724, 7.059856944821553,
+         0.7408374389747823, 9.03742481412635, 5.753031201299063,
+         8.73855765097321, 1.700422119252233, 3.172036250345554],
+        [7.3992754068025155, 1.074911404880663, 8.13350295212529,
+         3.976608555937571, 3.1347060261231476, 2.0252793654666856,
+         0.26806460955806743, 8.060995087818428, 9.114034246175716],
+    )
+    reference = [
+        -1.6510628177139927e-09, 1.2416738969173066e-07, -5.355125152087719e-07,
+        7.814342985750092e-06, -1.1341092978719884e-05, 0.00019606492586026852,
+        -0.04862011447885298, 0.6362883102631924, -0.7699176787547048,
+        2.633705132805925e-10,
+    ]
+    mode = buckling_modes(chain)[-1]
+    assert mode.eigenvalue == pytest.approx(-0.082298407072920920, rel=1e-12)
+    np.testing.assert_allclose(mode.mode_vector, reference, rtol=0.0, atol=1e-14)
+    assert mode.shape_label == "Z"
 
 
 class TestBucklingModes:
@@ -164,6 +246,31 @@ class TestEnergyFactor:
         dead = dataclasses.replace(mode, mode_vector=np.zeros(4))
         with pytest.raises(DegenerateModeError):
             energy_factor(dead, chain)
+
+
+def _loop_label(v):
+    """Shape label by an explicit loop over the entries."""
+    norm = math.sqrt(sum(x * x for x in v))
+    if norm == 0.0 or any(abs(x) <= 1e-9 * norm for x in v):
+        return "unclassified"
+    changes = sum((a > 0.0) != (b > 0.0) for a, b in zip(v, v[1:]))
+    return "U" if changes == 1 else "Z" if changes == len(v) - 1 else f"ZU({changes})"
+
+
+def test_columnwise_labels_and_factors_match_a_loop():
+    rng = np.random.default_rng(37)
+    for _ in range(20):
+        n = int(rng.integers(2, 12))
+        chain = ChainModel(rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n))
+        for mode in buckling_modes(chain):
+            v = mode.mode_vector[:n].tolist()
+            partial = np.cumsum(v)
+            factor = sum(k * x * x for k, x in zip(chain.joint_stiffness, v)) / sum(
+                length * p * p for length, p in zip(chain.link_lengths, partial)
+            )
+            assert mode.shape_label == _loop_label(v)
+            assert mode.energy_factor == pytest.approx(factor, rel=1e-12)
+            assert next(x for x in v if abs(x) > 1e-9) < 0.0
 
 
 class TestClassifyShape:
