@@ -192,13 +192,14 @@ def jacobian(chain: ChainModel, angles) -> np.ndarray:
     Returns:
         2 x n array; row 0 is dx/dq, row 1 is dy/dq.
     """
-    q = _check_angles(chain, angles)
+    return _jacobian_raw(chain.link_lengths, _check_angles(chain, angles))
+
+
+def _jacobian_raw(lengths: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """jacobian without validation. Its first column is (-y, x) of the end-point."""
     headings = np.cumsum(q)
-    lsin = chain.link_lengths * np.sin(headings)
-    lcos = chain.link_lengths * np.cos(headings)
-    row_x = -np.cumsum(lsin[::-1])[::-1]
-    row_y = np.cumsum(lcos[::-1])[::-1]
-    return np.vstack([row_x, row_y])
+    projections = lengths * np.array([-np.sin(headings), np.cos(headings)])
+    return np.cumsum(projections[:, ::-1], axis=1)[:, ::-1]
 
 
 def _check_branch(branch) -> int:

@@ -1,17 +1,18 @@
 """Equilibrium paths of non-straight chains by constrained energy search.
 
-The end-point constraint (x0 - delta_x, 0) removes two degrees of freedom
-through the two-link closure, leaving the n-2 leading joint angles as free
-variables of the strain energy. Minima of that reduced energy are stable
-equilibria, maxima and saddles unstable ones; sweeping delta_x and chaining
-a Newton minimization from the previous solution traces a physical loading
-path. The end-point force is the Lagrange multiplier of the constraint, and
-the reduced gradient and Hessian are exact, built from the suffix sums of
-the forward kinematics.
+An equilibrium balances J^T F + K (q - q0) = 0 with the end-point pinned at
+(x0 - delta_x, 0); the force F is the constraint's Lagrange multiplier. A
+sweep follows it in full coordinates (q, F): a tangent predictor, then
+Newton steps on the bordered (KKT) system. Past a fold in delta_x, Newton
+minimization of the strain energy over the leading n-2 angles, the last two
+closed onto the end-point, finds the shape the chain snaps to; minima of
+that reduced energy are stable, maxima and saddles unstable. Its gradient
+and Hessian are exact, from suffix sums of the forward kinematics.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -23,10 +24,10 @@ from .chain import (
     DeflectionState,
     PlanarPoint,
     _close_chain_raw,
+    _jacobian_raw,
     check_configuration,
     close_chain,
     forward_kinematics,
-    jacobian,
 )
 from .errors import NotApplicableError, SingularSampleError, UnreachableTargetError
 from .statics import EquilibriumPoint, PlanarForce
@@ -51,8 +52,6 @@ MIN_STEP = 1e-10
 # descent slides onto that boundary.
 SINGULAR_SINE = 1e-8
 BOUNDARY_SINE = 0.05
-# Times a sweep step whose warm solve fails is halved before giving up.
-STEP_HALVINGS = 4
 NO_CLOSURE = "no feasible closure from any start or branch"
 NO_EQUILIBRIUM = "no start converged to an equilibrium"
 # Grid density of the closed-loop scan behind three_link_equilibria.
@@ -233,7 +232,8 @@ class SweepRequest:
 
 @dataclass
 class SweepStepRecord:
-    """Which elbow branch and restart produced the point at delta_x."""
+    """The elbow branch, sign(sin q_n), of the point at delta_x and the
+    restart that produced it (0: the path itself)."""
 
     delta_x: float
     branch: int
@@ -317,7 +317,7 @@ def detect_quasi_buckling(result, drop_ratio: float = 0.1) -> list[tuple[float, 
 
 
 # ---------------------------------------------------------------------------
-# reduced-space Newton machinery
+# Newton steps: reduced (leading angles) and bordered (all angles and F)
 
 
 def _closed_energy(lengths, stiffness, reference, lead, tx, ty, branch):
@@ -329,30 +329,52 @@ def _closed_energy(lengths, stiffness, reference, lead, tx, ty, branch):
     return 0.5 * total, full
 
 
+@functools.lru_cache(maxsize=None)
+def _suffix_index(n):
+    """max(a, b) over an n x n grid: where the suffix sums of a pair start."""
+    return np.maximum.outer(np.arange(n), np.arange(n))
+
+
+def _bordered(stiffness, jac, force):
+    """The KKT matrix [[H, J^T], [J, 0]] of the equilibrium equations.
+
+    H = K - F_x Sc - F_y Ss is the Hessian of the energy less the work of F:
+    Sc[a, b] sums L_j cos(theta_j) over j >= max(a, b), i.e. J[1, max(a, b)],
+    and Ss is the same with sin, -J[0, max(a, b)].
+    """
+    n = jac.shape[1]
+    index = _suffix_index(n)
+    kkt = np.zeros((n + 2, n + 2))
+    kkt[:n, :n] = force[1] * jac[0][index] - force[0] * jac[1][index]
+    kkt.flat[: n * (n + 3) : n + 3] += stiffness  # the diagonal of H
+    kkt[:n, n:] = jac.T
+    kkt[n:, :n] = jac
+    return kkt
+
+
 def _reduced_derivatives(chain, reference, full):
     """Force, reduced gradient and reduced Hessian at a closed configuration.
 
     Z = [I; -J_t^-1 J_l] spans the tangent space of the end-point constraint
     (J_t: the Jacobian columns of the last two joints). The force is the
     multiplier F = -J_t^-T tau_t with tau = K (q - q0), the gradient Z^T tau
-    and the Hessian Z^T (K - F_x Sc - F_y Ss) Z, where Sc[a, b] is the sum of
-    L_j cos(theta_j) over j >= max(a, b), i.e. J[1, max(a, b)], and Ss the
-    same with sin, -J[0, max(a, b)].
+    and the Hessian Z^T H Z with H from _bordered.
 
     Returns (force, gradient, hessian, torque residual J^T F + tau).
     """
     q = np.asarray(full, dtype=float)
-    jac = jacobian(chain, q)
+    jac = _jacobian_raw(chain.link_lengths, q)
     tau = chain.joint_stiffness * (q - reference)
-    (a, b), (c, d) = jac[:, -2:]
+    (a, b), (c, d) = jac[:, -2:].tolist()
     inverse = np.array([[d, -b], [-c, a]]) / (a * d - b * c)
     force = -inverse.T @ tau[-2:]
-    basis = np.vstack([np.eye(q.size - 2), -inverse @ jac[:, :-2]])
-    suffix = np.maximum.outer(np.arange(q.size), np.arange(q.size))
-    curvature = np.diag(chain.joint_stiffness) - force[0] * jac[1][suffix]
-    curvature += force[1] * jac[0][suffix]
-    hessian = basis.T @ curvature @ basis
-    return force, basis.T @ tau, hessian, jac.T @ force + tau
+    m = q.size - 2
+    trailing = -inverse @ jac[:, :m]  # the last two rows of Z
+    curvature = _bordered(chain.joint_stiffness, jac, force)[:-2, :-2]  # H
+    projected = curvature[:, :m] + curvature[:, m:] @ trailing  # H Z
+    hessian = projected[:m] + trailing.T @ projected[m:]
+    gradient = tau[:m] + trailing.T @ tau[m:]
+    return force, gradient, hessian, jac.T @ force + tau
 
 
 @dataclass(frozen=True)
@@ -443,29 +465,73 @@ def _newton_minimize(chain, reference, lead, tx, branch):
     return None
 
 
-def _continue(chain, reference, full, branch, tx_from, tx, depth):
-    """Warm solve at tx continued from the equilibrium `full` at tx_from.
+def _solve_at(chain, reference, full):
+    """The _Solve at a configuration that closes the chain."""
+    stretch = full - np.asarray(reference)
+    energy = 0.5 * float(chain.joint_stiffness @ (stretch * stretch))
+    return _Solve(energy, full, *_reduced_derivatives(chain, reference, full))
 
-    It starts from the leading angles of `full`, then from their Gauss-Newton
-    projection q + J^+ (target - p(q)) onto the new end-point: that
-    correction moves every joint, so near a folded elbow it keeps the wrist
-    within reach where the unchanged leading angles no longer are. If
-    neither start reaches an equilibrium the step is halved, at most `depth`
-    times. Returns the _Solve at tx, or None.
+
+def _correct(chain, reference, full, force, tx):
+    """Newton's method on r(q, F) = [J^T F + K (q - q0); p(q) - (tx, 0)].
+
+    Its Jacobian is the _bordered matrix, and angles change additively, so no
+    closure wraps them. In |r| the end-point miss is weighed by max k / sum L
+    to count as a torque; the steps do not depend on that weight. Iterates
+    while |r| still halves; returns the angles if |r| then lies below
+    GRADIENT_TOLERANCE times the largest stiffness, else None.
     """
-    solve = _newton_minimize(chain, reference, full[:-2], tx, branch)
-    if solve is None:
-        point = forward_kinematics(chain, full)
-        miss = np.array([tx - point.x, -point.y])
-        projected = full + np.linalg.lstsq(jacobian(chain, full), miss, rcond=None)[0]
-        solve = _newton_minimize(chain, reference, projected[:-2], tx, branch)
-    if solve is not None or depth == 0:
-        return solve
-    middle_tx = 0.5 * (tx_from + tx)
-    middle = _continue(chain, reference, full, branch, tx_from, middle_tx, depth - 1)
-    if middle is None:
+    stiffness = chain.joint_stiffness
+    scale = float(np.max(stiffness))
+    weight = scale / chain.total_length
+    previous = math.inf
+    for _ in range(NEWTON_ITERATIONS):
+        jac = _jacobian_raw(chain.link_lengths, full)
+        torque = jac.T @ force + stiffness * (full - reference)
+        miss = (jac[1, 0] - tx, -jac[0, 0])  # J[:, 0] is (-y, x)
+        norm = math.hypot(np.linalg.norm(torque), weight * math.hypot(*miss))
+        if not norm < 0.5 * previous:
+            return full if norm <= GRADIENT_TOLERANCE * scale else None
+        previous = norm
+        try:
+            step = np.linalg.solve(_bordered(stiffness, jac, force), np.append(torque, miss))
+        except np.linalg.LinAlgError:
+            return None
+        full, force = full - step[:full.size], force - step[full.size:]
+    return None
+
+
+def _tangent(chain, solve):
+    """d(q, F)/d tx through the equilibrium `solve`: the _bordered system
+    with right-hand side (0; e_x). Raises LinAlgError where it is singular."""
+    n = solve.full.size
+    jac = _jacobian_raw(chain.link_lengths, solve.full)
+    return np.linalg.solve(_bordered(chain.joint_stiffness, jac, solve.force), np.eye(n + 2)[n])
+
+
+def _path_step(chain, reference, solve, tx_from, tx, branches):
+    """The loading path continued from the equilibrium `solve` at tx_from.
+
+    The _tangent predicts (q, F) at tx and _correct lands it there. Returns
+    the _Solve if it is stable (positive definite reduced Hessian), off the
+    closure boundary and on an elbow sign(sin q_n) in `branches`, else None,
+    e.g. past a fold in delta_x, where the path turns back.
+    """
+    try:
+        step = (tx - tx_from) * _tangent(chain, solve)
+    except np.linalg.LinAlgError:
         return None
-    return _continue(chain, reference, middle.full, branch, middle_tx, tx, depth - 1)
+    n = solve.full.size
+    full = _correct(chain, reference, solve.full + step[:n], solve.force + step[n:], tx)
+    if full is None or abs(math.sin(full[-1])) <= SINGULAR_SINE or _branch(full) not in branches:
+        return None
+    solve = _solve_at(chain, reference, full)
+    return solve if np.linalg.eigvalsh(solve.hessian)[0] > 0.0 else None
+
+
+def _branch(full):
+    """The elbow branch of a configuration: the sign of sin q_n."""
+    return 1 if math.sin(full[-1]) > 0.0 else -1
 
 
 def _snap_to_axis(chain, config, branches):
@@ -514,65 +580,59 @@ def sweep_force_deflection(
 ) -> SweepResult:
     """Trace the force-deflection path of a non-straight chain.
 
-    Each delta_x sample minimizes the reduced strain energy by modified
-    Newton steps, warm-started from the previous point (see _continue) and
-    fortified with random restarts over the allowed elbow branches. The
-    path follows the warm-started basin (physical continuation); restarts
-    that find lower, disconnected minima are logged as advisories rather
-    than jumped to.
-    Solves that slide onto the closure boundary are not equilibria and
-    count as neither. A point's force is the constraint multiplier, its
-    stability comes from the analytic reduced Hessian. Strain energy is
-    checked for monotone growth and any violation is noted on the branch
-    log. A step whose end-point lies out of the chain's reach (NO_CLOSURE),
-    or where no start converges to an equilibrium (NO_EQUILIBRIUM),
-    truncates the sweep.
+    Each point continues the previous one along the path (_path_step), so
+    the last elbow may straighten and bend the other way. Where that gives
+    no stable point, e.g. past a fold in delta_x, the reduced energy is
+    minimized from the previous leading angles on the previous elbow, which
+    is where the chain snaps to. A point's branch is its elbow, the sign of
+    sin q_n. Under branch_policy "both" the path may change elbow; under
+    "positive" or "negative" it keeps the allowed one, and where the path
+    would cross, the step is left to that minimization and the restarts on
+    the allowed elbow. Restarts on every allowed branch only detect lower,
+    disconnected minima, logged as advisories rather than jumped to, so with
+    seeds=0 a sweep is pure continuation. Solves that slide onto the closure
+    boundary are not equilibria and count as neither. A point's force is the
+    constraint multiplier, its stability comes from the analytic reduced
+    Hessian. Strain energy is checked for monotone growth and any violation
+    is noted on the branch log. A step whose end-point lies out of the
+    chain's reach (NO_CLOSURE), or where no start converges to an
+    equilibrium (NO_EQUILIBRIUM), truncates the sweep.
     """
     chain = request.chain
     n = chain.n
     rng = np.random.default_rng(seed)
 
-    snapped, x0, branch0 = _snap_to_axis(
-        chain, request.initial_config, request.branches
-    )
+    snapped, x0, branch = _snap_to_axis(chain, request.initial_config, request.branches)
     reference = tuple(float(v) for v in snapped)
     ref_config = np.asarray(snapped, dtype=float)
     pre_displacement = chain.total_length - x0
 
-    deltas = np.linspace(0.0, request.delta_max, request.steps)
-    previous_full = ref_config.copy()
-    previous_branch = branch0
-    previous_tx = x0
-
+    previous, lead, previous_tx = None, ref_config[:-2], x0  # the last point
     points: list[EquilibriumPoint] = []
     log: list[SweepStepRecord] = []
     advisories: list[SweepAdvisory] = []
     truncation = None
 
-    for delta in deltas:
+    for delta in np.linspace(0.0, request.delta_max, request.steps):
         tx = x0 - float(delta)
-        offsets = [np.zeros(n - 2)]
-        offsets.extend(
+        offsets = [
             rng.uniform(-0.5 * math.pi, 0.5 * math.pi, n - 2)
             for _ in range(request.seeds)
-        )
-        ordered_branches = [previous_branch] + [
-            b for b in request.branches if b != previous_branch
         ]
-
-        candidates = []  # (solve, branch, restart)
-        for branch in ordered_branches:
-            for restart, offset in enumerate(offsets):
-                if restart == 0 and branch == previous_branch:
-                    solve = _continue(
-                        chain, reference, previous_full, branch, previous_tx, tx,
-                        STEP_HALVINGS,
-                    )
-                else:
-                    start = previous_full[:-2] + offset
-                    solve = _newton_minimize(chain, reference, start, tx, branch)
+        warm = None
+        if previous is not None:
+            warm = _path_step(chain, reference, previous, previous_tx, tx, request.branches)
+        if warm is not None:
+            candidates = [(warm, _branch(warm.full), 0)]
+        else:
+            # the unloaded start, or past a fold: where the descent leads
+            warm = _newton_minimize(chain, reference, lead, tx, branch)
+            candidates = [] if warm is None else [(warm, branch, 0)]
+        for other_branch in [branch] + [b for b in request.branches if b != branch]:
+            for restart, offset in enumerate(offsets, 1):
+                solve = _newton_minimize(chain, reference, lead + offset, tx, other_branch)
                 if solve is not None:
-                    candidates.append((solve, branch, restart))
+                    candidates.append((solve, other_branch, restart))
 
         if not candidates:
             # no shape of the chain reaches closer to its base than this
@@ -582,11 +642,8 @@ def sweep_force_deflection(
             break
 
         note = ""
-        warm = [c for c in candidates if c[2] == 0]
-        if warm:
-            solve, branch, restart = min(
-                warm, key=lambda c: float(np.max(np.abs(c[0].full - previous_full)))
-            )
+        if warm is not None:
+            solve, branch, restart = candidates[0]
         else:
             solve, branch, restart = min(candidates, key=lambda c: c[0].energy)
             note = "no warm equilibrium; continued from a restart"
@@ -608,9 +665,7 @@ def sweep_force_deflection(
 
         points.append(solve.point(stability, float(delta), ref_config, pre_displacement))
         log.append(SweepStepRecord(float(delta), branch, restart, note))
-        previous_full = solve.full
-        previous_branch = branch
-        previous_tx = tx
+        previous, lead, previous_tx = solve, solve.full[:-2], tx
 
     for i in range(1, len(points)):
         drop = points[i - 1].strain_energy - points[i].strain_energy
@@ -726,7 +781,8 @@ def _interval_equilibria(chain, reference, tx, branch, ends):
     to the other end's; so does an end across a 2 pi wrap of q2, where the
     energy jumps, and then either end may start the search. A limit that
     does not balance torques to 1e-9 max(1, max|tau|) is a kink of the
-    wrapped energy or of the boundary, not an equilibrium.
+    wrapped energy or of the boundary, not an equilibrium; the others are
+    polished by _correct.
     """
     lengths = tuple(float(v) for v in chain.link_lengths)
 
@@ -749,8 +805,14 @@ def _interval_equilibria(chain, reference, tx, branch, ends):
         if solve is None:
             continue
         tau = chain.joint_stiffness * (solve.full - reference)
-        if np.linalg.norm(solve.residual) <= 1e-9 * max(1.0, float(np.max(np.abs(tau)))):
-            found.append(solve)
+        if np.linalg.norm(solve.residual) > 1e-9 * max(1.0, float(np.max(np.abs(tau)))):
+            continue
+        # near the boundary the chart's closure limits the balance; Newton
+        # steps in full coordinates take it to rounding
+        polished = _correct(chain, reference, solve.full, solve.force, tx)
+        if polished is not None and abs(math.sin(polished[-1])) > SINGULAR_SINE:
+            solve = _solve_at(chain, reference, polished)
+        found.append(solve)
     return found
 
 

@@ -363,6 +363,23 @@ class TestThreeLinkEquilibria:
         tau = chain.joint_stiffness * folded[0].configuration.displacement
         assert folded[0].residual_norm <= 1e-12 * max(1.0, np.max(np.abs(tau)))
 
+    def test_equilibrium_nearer_the_closure_boundary_is_polished(self):
+        """A maximum with the last two links 0.02 degrees from straight.
+
+        In the first-joint chart the closure magnifies rounding there, and
+        the refined point balanced torques only to 7.7e-10 relative; Newton
+        steps in full coordinates take every kept point to rounding.
+        """
+        chain = ChainModel([1.4303, 1.3524, 0.6527], [0.0, 0.8483, 0.401])
+        cfg = self.on_axis(chain, (0.0, 0.0215, 2.1573))
+        eqs = three_link_equilibria(chain, cfg, 1.8965499319602188)
+        near = [e for e in eqs if abs(math.sin(e.configuration.angles[2])) < 1e-3]
+        assert [e.stability for e in near] == ["unstable"]
+        for eq in eqs:
+            tau = chain.joint_stiffness * eq.configuration.displacement
+            r = equilibrium_residual(chain, eq.configuration, eq.force)
+            assert np.linalg.norm(r) <= 1e-12 * max(1.0, np.max(np.abs(tau)))
+
     def test_straight_chain_unloaded_has_single_equilibrium(self):
         chain = ChainModel([1.0, 1.0, 1.0], [0.0, 1.0, 1.0])
         eqs = three_link_equilibria(chain, relaxed((0.0, 0.0, 0.0)), 0.0)
@@ -522,11 +539,9 @@ class TestSweep:
             assert point.residual_norm < 1e-10
 
     def test_warm_start_projected_past_folding_elbow(self):
-        # the path runs towards a folded elbow (q_3 -> -pi); the previous
-        # leading angle then no longer closes the chain at the next step,
-        # and the warm solve starts from its projection onto the new target;
-        # the last minima are so stiff that the gradient stalls above its
-        # tolerance and only the rounding-level step ends the solve
+        # the path runs towards a folded elbow (q_3 -> -pi), where the
+        # previous leading angle no longer closes the chain at the next step;
+        # the path step moves every joint, so it stays within reach
         chain = ChainModel([0.9956, 0.7463, 1.3385], [0.7702, 1.7932, 0.7674])
         start = close_chain(chain, [0.1778], PlanarPoint(1.83, 0.0), -1)
         req = SweepRequest(chain, relaxed(start), 0.73, 20, seeds=2)
