@@ -19,7 +19,8 @@ from .errors import (
 
 
 def _float_vector(values, name: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(values, dtype=float))
+    """A validated copy of `values`, so that the caller's array stays its own."""
+    arr = np.atleast_1d(np.array(values, dtype=float))
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a one-dimensional sequence")
     if not np.all(np.isfinite(arr)):
@@ -196,10 +197,11 @@ def jacobian(chain: ChainModel, angles) -> np.ndarray:
 
 
 def _jacobian_raw(lengths: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """jacobian without validation. Its first column is (-y, x) of the end-point."""
-    headings = np.cumsum(q)
-    projections = lengths * np.array([-np.sin(headings), np.cos(headings)])
-    return np.cumsum(projections[:, ::-1], axis=1)[:, ::-1]
+    """jacobian without validation, of one angle vector or of a stack of rows
+    (shape (m, n) gives (m, 2, n)). Its first column is (-y, x) of the end-point."""
+    headings = np.cumsum(q, axis=-1)
+    projections = lengths * np.array([-np.sin(headings), np.cos(headings)]).swapaxes(0, -2)
+    return np.cumsum(projections[..., ::-1], axis=-1)[..., ::-1]
 
 
 def _check_branch(branch) -> int:

@@ -7,7 +7,8 @@ Newton steps on the bordered (KKT) system. Past a fold in delta_x, Newton
 minimization of the strain energy over the leading n-2 angles, the last two
 closed onto the end-point, finds the shape the chain snaps to; minima of
 that reduced energy are stable, maxima and saddles unstable. Its gradient
-and Hessian are exact, from suffix sums of the forward kinematics.
+and Hessian are exact, from suffix sums of the forward kinematics, and it
+runs over a stack of starts at once, as the random restarts of a sweep do.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ SINGULAR_SINE = 1e-8
 BOUNDARY_SINE = 0.05
 NO_CLOSURE = "no feasible closure from any start or branch"
 NO_EQUILIBRIUM = "no start converged to an equilibrium"
+# Most restarts one stacked descent takes, which bounds a long sweep's memory.
+STACK_ROWS = 1024
 # Grid density of the closed-loop scan behind three_link_equilibria.
 THREE_LINK_GRID = 1200
 # Configurations closer than this (max angle gap, rad) count as duplicates.
@@ -145,16 +148,19 @@ def classify_stability(hessian) -> tuple[str, bool]:
     h = np.atleast_2d(np.asarray(hessian, dtype=float))
     if h.shape[0] != h.shape[1]:
         raise ValueError("hessian must be square")
+    return _stability(h)[:2]
+
+
+def _stability(h):
+    """classify_stability of a square h and its smallest eigenvalue (inf
+    when h is empty)."""
     eigenvalues = np.linalg.eigvalsh(0.5 * (h + h.T))
-    tol = STABILITY_TOLERANCE * float(np.max(np.abs(h))) if h.size else 0.0
-    positive = int(np.sum(eigenvalues > tol))
-    negative = int(np.sum(eigenvalues < -tol))
-    degenerate = bool(np.any(np.abs(eigenvalues) <= tol))
-    if positive and negative:
-        return "saddle", degenerate
-    if negative and not positive:
-        return "unstable", degenerate
-    return "stable", degenerate
+    tol = STABILITY_TOLERANCE * float(np.abs(h).max()) if h.size else 0.0
+    positive = int((eigenvalues > tol).sum())
+    negative = int((eigenvalues < -tol).sum())
+    degenerate = bool((np.abs(eigenvalues) <= tol).any())
+    tag = "saddle" if positive and negative else "unstable" if negative else "stable"
+    return tag, degenerate, float(eigenvalues.min(initial=math.inf))
 
 
 def reduced_energy(
@@ -329,60 +335,104 @@ def _closed_energy(lengths, stiffness, reference, lead, tx, ty, branch):
     return 0.5 * total, full
 
 
+def _closed_energies(lengths, stiffness, reference, lead, tx, branch):
+    """_closed_energy onto (tx, 0) over a stack of starts lead (m, n-2).
+
+    tx and branch are scalars or (m,). Row by row this is the arithmetic of
+    _close_chain_raw, with its reach tolerance and q_{n-1} wrapped into
+    [-pi, pi]; cumsum keeps its sums sequential. Returns (energies, angles
+    (m, n)); infeasible rows have energy +inf and meaningless angles.
+    """
+    m = lead.shape[1]
+    heading = lead.cumsum(axis=1)
+    wx = (lengths[:m] * np.cos(heading)).cumsum(axis=1)[:, -1]
+    wy = (lengths[:m] * np.sin(heading)).cumsum(axis=1)[:, -1]
+    la, lb = lengths[m:]
+    dx, dy = tx - wx, 0.0 - wy
+    d2 = dx * dx + dy * dy
+    reach, gap, tol = la + lb, la - lb, 1e-9 * (la + lb)
+    d = np.sqrt(d2)
+    c2 = np.minimum(np.maximum((d2 - la * la - lb * lb) / (2.0 * la * lb), -1.0), 1.0)
+    s2 = branch * np.sqrt(np.maximum(0.0, (reach * reach - d2) * (d2 - gap * gap)))
+    s2 /= 2.0 * la * lb
+    qa = np.arctan2(dy, dx) - np.arctan2(lb * s2, la + lb * c2) - heading[:, -1]
+    full = np.empty((len(lead), m + 2))
+    full[:, :m] = lead
+    full[:, m] = qa - math.tau * np.rint(qa / math.tau)
+    full[:, m + 1] = np.arctan2(s2, c2)
+    stretch = full - reference
+    total = (stiffness * stretch * stretch).cumsum(axis=1)[:, -1]
+    feasible = (d <= reach + tol) & (d >= abs(gap) - tol)
+    return np.where(feasible, 0.5 * total, np.inf), full
+
+
 @functools.lru_cache(maxsize=None)
 def _suffix_index(n):
     """max(a, b) over an n x n grid: where the suffix sums of a pair start."""
     return np.maximum.outer(np.arange(n), np.arange(n))
 
 
-def _bordered(stiffness, jac, force):
-    """The KKT matrix [[H, J^T], [J, 0]] of the equilibrium equations.
+def _curvature(stiffness, jac, force):
+    """H = K - F_x Sc - F_y Ss, the Hessian of the energy less the work of F,
+    for a Jacobian (2, n) and force or stacks of them. Sc[a, b] sums L_j
+    cos(theta_j) over j >= max(a, b), i.e. J[1, max(a, b)]; Ss is -J[0, ...]."""
+    n = jac.shape[-1]
+    work = force[..., 1, None] * jac[..., 0, :] - force[..., 0, None] * jac[..., 1, :]
+    curvature = work[..., _suffix_index(n)]
+    curvature.reshape(-1, n * n)[:, :: n + 1] += stiffness
+    return curvature
 
-    H = K - F_x Sc - F_y Ss is the Hessian of the energy less the work of F:
-    Sc[a, b] sums L_j cos(theta_j) over j >= max(a, b), i.e. J[1, max(a, b)],
-    and Ss is the same with sin, -J[0, max(a, b)].
-    """
+
+def _bordered(stiffness, jac, force):
+    """The KKT matrix [[H, J^T], [J, 0]] of the equilibrium equations."""
     n = jac.shape[1]
-    index = _suffix_index(n)
     kkt = np.zeros((n + 2, n + 2))
-    kkt[:n, :n] = force[1] * jac[0][index] - force[0] * jac[1][index]
-    kkt.flat[: n * (n + 3) : n + 3] += stiffness  # the diagonal of H
+    kkt[:n, :n] = _curvature(stiffness, jac, force)
     kkt[:n, n:] = jac.T
     kkt[n:, :n] = jac
     return kkt
 
 
-def _reduced_derivatives(chain, reference, full):
-    """Force, reduced gradient and reduced Hessian at a closed configuration.
+def _derivatives(stiffness, reference, full, jac):
+    """Force, reduced gradient and reduced Hessian at closed configurations:
+    full (n,) with its Jacobian jac (2, n), or a stack (m, n) and (m, 2, n).
 
     Z = [I; -J_t^-1 J_l] spans the tangent space of the end-point constraint
     (J_t: the Jacobian columns of the last two joints). The force is the
     multiplier F = -J_t^-T tau_t with tau = K (q - q0), the gradient Z^T tau
-    and the Hessian Z^T H Z with H from _bordered.
+    and the Hessian Z^T H Z with H from _curvature.
 
-    Returns (force, gradient, hessian, torque residual J^T F + tau).
+    Returns (force, gradient, hessian, tau).
     """
-    q = np.asarray(full, dtype=float)
-    jac = _jacobian_raw(chain.link_lengths, q)
-    tau = chain.joint_stiffness * (q - reference)
-    (a, b), (c, d) = jac[:, -2:].tolist()
-    inverse = np.array([[d, -b], [-c, a]]) / (a * d - b * c)
-    force = -inverse.T @ tau[-2:]
-    m = q.size - 2
-    trailing = -inverse @ jac[:, :m]  # the last two rows of Z
-    curvature = _bordered(chain.joint_stiffness, jac, force)[:-2, :-2]  # H
-    projected = curvature[:, :m] + curvature[:, m:] @ trailing  # H Z
-    hessian = projected[:m] + trailing.T @ projected[m:]
-    gradient = tau[:m] + trailing.T @ tau[m:]
-    return force, gradient, hessian, jac.T @ force + tau
+    tau = stiffness * (full - reference)
+    block = jac[..., -2:]  # J_t
+    det = block[..., 0, 0] * block[..., 1, 1] - block[..., 0, 1] * block[..., 1, 0]
+    adjugate = block[..., ::-1, ::-1].swapaxes(-1, -2) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    inverse = adjugate / det[..., None, None]
+    force = -(inverse.swapaxes(-1, -2) @ tau[..., -2:, None])[..., 0]
+    m = full.shape[-1] - 2
+    trailing = -inverse @ jac[..., :m]  # the last two rows of Z
+    curvature = _curvature(stiffness, jac, force)
+    projected = curvature[..., :m] + curvature[..., m:] @ trailing  # H Z
+    turned = trailing.swapaxes(-1, -2)
+    hessian = projected[..., :m, :] + turned @ projected[..., m:, :]
+    gradient = tau[..., :m] + (turned @ tau[..., m:, None])[..., 0]
+    return force, gradient, hessian, tau
+
+
+def _reduced_derivatives(chain, reference, full):
+    """_derivatives at one closed configuration, with J^T F + tau for tau."""
+    solve = _solve_at(chain, reference, full)
+    return solve.force, solve.gradient, solve.hessian, solve.residual
 
 
 @dataclass(frozen=True)
 class _Solve:
-    """A closed configuration with its energy and _reduced_derivatives."""
+    """A closed configuration with its energy, Jacobian and _derivatives."""
 
     energy: float
     full: np.ndarray
+    jac: np.ndarray
     force: np.ndarray
     gradient: np.ndarray
     hessian: np.ndarray
@@ -403,73 +453,96 @@ class _Solve:
         )
 
 
-def _newton_minimize(chain, reference, lead, tx, branch):
-    """Modified-Newton descent of the reduced energy from `lead`.
+def _minimize_stack(chain, reference, lead, tx, branch):
+    """Modified-Newton descents of the reduced energy from a stack of starts.
 
-    Steps use the reduced Hessian with its eigenvalues replaced by their
-    floored magnitudes, so they always descend and cannot settle on a
-    saddle; the Armijo backtracking treats infeasible closures as +inf. At
-    the closure boundary J_t is singular and the energy has a square-root
-    singularity: a descent that meets negative curvature near it while still
-    approaching it is sliding onto it, and this branch has no equilibrium
-    there.
-
-    Returns the _Solve at an equilibrium, or None when the start is
-    infeasible or the descent reaches no equilibrium.
+    lead is (m, n-2), tx and branch (m,); each row takes the steps it would
+    take alone, and leaves the stack once it converges or fails. Steps use
+    the reduced Hessian with its eigenvalues replaced by their floored
+    magnitudes, so they always descend and cannot settle on a saddle. The
+    Armijo backtracking treats infeasible closures as +inf and takes the
+    first halving that passes, four halvings of every row per closure call
+    and then the rest. At the closure boundary J_t is singular and the
+    energy has a square-root singularity: a descent that meets negative
+    curvature near it while still approaching it is sliding onto it, and
+    this branch has no equilibrium there. Returns per row the _Solve at an
+    equilibrium, or None when the start is infeasible or no equilibrium is
+    reached.
     """
-    lengths = tuple(float(v) for v in chain.link_lengths)
-    stiffness = tuple(float(v) for v in chain.joint_stiffness)
-    scale = max(stiffness)
-
-    def energy_at(lead):
-        return _closed_energy(
-            lengths, stiffness, reference, lead.tolist(), tx, 0.0, branch
-        )
-
-    energy, full = energy_at(lead)
-    if full is None:
-        return None
-    previous = math.inf
-    previous_sine = 0.0  # the start has no direction of approach
+    lengths, stiffness = chain.link_lengths, chain.joint_stiffness
+    closure = functools.partial(_closed_energies, lengths, stiffness, np.asarray(reference))
+    scale = float(np.max(stiffness))
+    alphas = 0.5 ** np.arange(1 + int(math.log2(1.0 / MIN_STEP)))  # 1, 1/2, ... >= MIN_STEP
+    blocks = alphas[:4, None], alphas[4:, None]
+    results, rows = [None] * len(lead), np.arange(len(lead))
+    energy, full = closure(lead, tx, branch)
+    # |gradient| one iterate back; the start has no direction of approach to
+    # the boundary, so its previous |sin q_n| is 0
+    previous, previous_sine = np.full(len(lead), np.inf), np.zeros(len(lead))
+    keep = np.isfinite(energy)
     for _ in range(NEWTON_ITERATIONS):
-        sine = abs(math.sin(full[-1]))
-        if sine <= SINGULAR_SINE:
-            return None
-        derivatives = _reduced_derivatives(chain, reference, full)
-        _, gradient, hessian, _ = derivatives
+        sine = np.abs(np.sin(full[:, -1]))
+        keep &= sine > SINGULAR_SINE
+        if not keep.all():
+            rows, full, energy, sine, tx, branch, previous, previous_sine = (
+                v[keep] for v in (rows, full, energy, sine, tx, branch, previous, previous_sine)
+            )
+        if not rows.size:
+            break
+        lead = full[:, :-2]
+        jac = _jacobian_raw(lengths, full)
+        force, gradient, hessian, tau = _derivatives(stiffness, reference, full, jac)
         values, vectors = np.linalg.eigh(hessian)
         curvature = np.maximum(np.abs(values), CURVATURE_FLOOR * scale)
-        step = -vectors @ ((vectors.T @ gradient) / curvature)
-        norm = float(np.linalg.norm(gradient))
-        if norm >= 0.5 * previous and (
-            norm <= GRADIENT_TOLERANCE * scale
-            or step @ step <= ROUNDING * ROUNDING * (1.0 + lead @ lead)
-        ):
-            return _Solve(energy, np.asarray(full), *derivatives)
-        previous = norm
-        if values[0] < 0.0 and sine < min(BOUNDARY_SINE, previous_sine):
-            return None
-        previous_sine = sine
-        slope = float(gradient @ step)
-        alpha = 1.0
-        while True:
-            trial = lead + alpha * step
-            trial_energy, trial_full = energy_at(trial)
-            slack = ARMIJO * alpha * slope + ROUNDING * (energy + scale)
-            if trial_energy <= energy + slack:
+        step = -(vectors @ ((gradient[:, None] @ vectors)[:, 0] / curvature)[..., None])[..., 0]
+        norm = np.sqrt((gradient * gradient).sum(axis=1))
+        small = (step * step).sum(axis=1) <= ROUNDING * ROUNDING * (1.0 + (lead * lead).sum(axis=1))
+        converged = (norm >= 0.5 * previous) & ((norm <= GRADIENT_TOLERANCE * scale) | small)
+        for i in np.flatnonzero(converged):
+            results[rows[i]] = _Solve(float(energy[i]), full[i], jac[i], force[i], gradient[i],
+                                      hessian[i], jac[i].T @ force[i] + tau[i])
+        sliding = (values[:, 0] < 0.0) & (sine < np.minimum(BOUNDARY_SINE, previous_sine))
+        previous, previous_sine = norm, sine
+        # the line search: rows that pass update full and energy in place
+        slope = (gradient * step).sum(axis=1)
+        pending = np.flatnonzero(~(converged | sliding))
+        keep = np.zeros(rows.size, dtype=bool)
+        full, energy = full.copy(), energy.copy()
+        for block in blocks:
+            if not pending.size:
                 break
-            alpha *= 0.5
-            if alpha < MIN_STEP:
-                return None
-        lead, energy, full = trial, trial_energy, trial_full
-    return None
+            trial = lead[pending, None] + block * step[pending, None]
+            trial_energy, trial_full = closure(
+                trial.reshape(-1, lead.shape[1]), tx[pending].repeat(block.size),
+                branch[pending].repeat(block.size))
+            trial_energy = trial_energy.reshape(-1, block.size)
+            base = energy[pending, None]
+            slack = ARMIJO * block.T * slope[pending, None] + ROUNDING * (base + scale)
+            passed = trial_energy <= base + slack
+            hit = passed.any(axis=1)
+            take, first = pending[hit], passed[hit].argmax(axis=1)
+            full[take] = trial_full.reshape(-1, block.size, full.shape[1])[hit, first]
+            energy[take] = trial_energy[hit, first]
+            keep[take] = True
+            pending = pending[~hit]
+    return results
 
 
-def _solve_at(chain, reference, full):
-    """The _Solve at a configuration that closes the chain."""
+def _newton_minimize(chain, reference, lead, tx, branch):
+    """_minimize_stack from one start: its _Solve or None."""
+    lead = np.asarray(lead, dtype=float)[None]
+    return _minimize_stack(chain, reference, lead, np.array([tx]), np.array([branch]))[0]
+
+
+def _solve_at(chain, reference, full, jac=None):
+    """The _Solve at a configuration that closes the chain (jac: its Jacobian)."""
+    full = np.asarray(full, dtype=float)
+    if jac is None:
+        jac = _jacobian_raw(chain.link_lengths, full)
     stretch = full - np.asarray(reference)
     energy = 0.5 * float(chain.joint_stiffness @ (stretch * stretch))
-    return _Solve(energy, full, *_reduced_derivatives(chain, reference, full))
+    force, gradient, hessian, tau = _derivatives(chain.joint_stiffness, reference, full, jac)
+    return _Solve(energy, full, jac, force, gradient, hessian, jac.T @ force + tau)
 
 
 def _correct(chain, reference, full, force, tx):
@@ -478,8 +551,8 @@ def _correct(chain, reference, full, force, tx):
     Its Jacobian is the _bordered matrix, and angles change additively, so no
     closure wraps them. In |r| the end-point miss is weighed by max k / sum L
     to count as a torque; the steps do not depend on that weight. Iterates
-    while |r| still halves; returns the angles if |r| then lies below
-    GRADIENT_TOLERANCE times the largest stiffness, else None.
+    while |r| still halves; returns (angles, their Jacobian) if |r| then lies
+    below GRADIENT_TOLERANCE times the largest stiffness, else (None, None).
     """
     stiffness = chain.joint_stiffness
     scale = float(np.max(stiffness))
@@ -491,42 +564,44 @@ def _correct(chain, reference, full, force, tx):
         miss = (jac[1, 0] - tx, -jac[0, 0])  # J[:, 0] is (-y, x)
         norm = math.hypot(np.linalg.norm(torque), weight * math.hypot(*miss))
         if not norm < 0.5 * previous:
-            return full if norm <= GRADIENT_TOLERANCE * scale else None
+            return (full, jac) if norm <= GRADIENT_TOLERANCE * scale else (None, None)
         previous = norm
         try:
             step = np.linalg.solve(_bordered(stiffness, jac, force), np.append(torque, miss))
         except np.linalg.LinAlgError:
-            return None
+            return None, None
         full, force = full - step[:full.size], force - step[full.size:]
-    return None
+    return None, None
 
 
 def _tangent(chain, solve):
     """d(q, F)/d tx through the equilibrium `solve`: the _bordered system
     with right-hand side (0; e_x). Raises LinAlgError where it is singular."""
     n = solve.full.size
-    jac = _jacobian_raw(chain.link_lengths, solve.full)
-    return np.linalg.solve(_bordered(chain.joint_stiffness, jac, solve.force), np.eye(n + 2)[n])
+    kkt = _bordered(chain.joint_stiffness, solve.jac, solve.force)
+    return np.linalg.solve(kkt, np.eye(n + 2)[n])
 
 
 def _path_step(chain, reference, solve, tx_from, tx, branches):
     """The loading path continued from the equilibrium `solve` at tx_from.
 
     The _tangent predicts (q, F) at tx and _correct lands it there. Returns
-    the _Solve if it is stable (positive definite reduced Hessian), off the
-    closure boundary and on an elbow sign(sin q_n) in `branches`, else None,
-    e.g. past a fold in delta_x, where the path turns back.
+    the _Solve and its classify_stability if it is stable (positive definite
+    reduced Hessian), off the closure boundary and on an elbow sign(sin q_n)
+    in `branches`, else None, e.g. past a fold in delta_x, where the path
+    turns back.
     """
     try:
         step = (tx - tx_from) * _tangent(chain, solve)
     except np.linalg.LinAlgError:
         return None
     n = solve.full.size
-    full = _correct(chain, reference, solve.full + step[:n], solve.force + step[n:], tx)
+    full, jac = _correct(chain, reference, solve.full + step[:n], solve.force + step[n:], tx)
     if full is None or abs(math.sin(full[-1])) <= SINGULAR_SINE or _branch(full) not in branches:
         return None
-    solve = _solve_at(chain, reference, full)
-    return solve if np.linalg.eigvalsh(solve.hessian)[0] > 0.0 else None
+    solve = _solve_at(chain, reference, full, jac)
+    tag, degenerate, lowest = _stability(solve.hessian)
+    return (solve, (tag, degenerate)) if lowest > 0.0 else None
 
 
 def _branch(full):
@@ -575,6 +650,12 @@ def _snap_to_axis(chain, config, branches):
     return best[0], point.x, best[1]
 
 
+def _restart_offsets(seed, steps, seeds, width):
+    """The random restart offsets of a sweep, (steps, seeds, width) angles in
+    [-pi/2, pi/2): the numbers a draw of (seeds, width) per step gives."""
+    return np.random.default_rng(seed).uniform(-0.5 * math.pi, 0.5 * math.pi, (steps, seeds, width))
+
+
 def sweep_force_deflection(
     request: SweepRequest, seed: int = 0, drop_ratio: float = 0.1
 ) -> SweepResult:
@@ -590,82 +671,103 @@ def sweep_force_deflection(
     would cross, the step is left to that minimization and the restarts on
     the allowed elbow. Restarts on every allowed branch only detect lower,
     disconnected minima, logged as advisories rather than jumped to, so with
-    seeds=0 a sweep is pure continuation. Solves that slide onto the closure
-    boundary are not equilibria and count as neither. A point's force is the
-    constraint multiplier, its stability comes from the analytic reduced
-    Hessian. Strain energy is checked for monotone growth and any violation
-    is noted on the branch log. A step whose end-point lies out of the
-    chain's reach (NO_CLOSURE), or where no start converges to an
-    equilibrium (NO_EQUILIBRIUM), truncates the sweep.
+    seeds=0 a sweep is pure continuation. A restart starts from the previous
+    point's leading angles, so restarts wait until the path is traced, or
+    until a step has no other point, and then run in stacked descents of up
+    to STACK_ROWS rows (_minimize_stack), row by row the same as one at a
+    time; `seeds` costs a few stacked descents. Solves that slide onto the
+    closure boundary are not equilibria and count as neither. A point's
+    force is the constraint multiplier, its stability comes from the
+    analytic reduced Hessian. Strain energy is checked for monotone growth
+    and any violation is noted on the branch log. A step whose end-point
+    lies out of the chain's reach (NO_CLOSURE), or where no start converges
+    to an equilibrium (NO_EQUILIBRIUM), truncates the sweep.
     """
     chain = request.chain
-    n = chain.n
-    rng = np.random.default_rng(seed)
-
     snapped, x0, branch = _snap_to_axis(chain, request.initial_config, request.branches)
     reference = tuple(float(v) for v in snapped)
     ref_config = np.asarray(snapped, dtype=float)
     pre_displacement = chain.total_length - x0
+    deltas = np.linspace(0.0, request.delta_max, request.steps)
+    offsets = _restart_offsets(seed, request.steps, request.seeds, chain.n - 2)
+    restarts = range(1, request.seeds + 1)
 
+    # restarts wait in `queue`; `found` maps (step, elbow, restart) to the
+    # equilibrium a restart reached
+    queue, found = [], {}
+
+    def run_queue():
+        for i in range(0, len(queue), STACK_ROWS):
+            keys, *stack = zip(*queue[i : i + STACK_ROWS])
+            solves = _minimize_stack(chain, reference, *map(np.array, stack))
+            found.update((key, s) for key, s in zip(keys, solves) if s is not None)
+        queue.clear()
+
+    def candidates(k, elbow, first):
+        """Step k's candidates: `first` (the path or descent point), then the
+        restarts on the previous elbow, then those on the other elbow."""
+        out = [] if first is None else [first]
+        for other in [elbow] + [b for b in request.branches if b != elbow]:
+            out += [(found[k, other, r], other, r) for r in restarts if (k, other, r) in found]
+        return out
+
+    # pass 1: the path; per step (delta, previous elbow, first, the chosen
+    # candidate, its stability if it is a path point)
+    steps, truncation = [], None
     previous, lead, previous_tx = None, ref_config[:-2], x0  # the last point
-    points: list[EquilibriumPoint] = []
-    log: list[SweepStepRecord] = []
-    advisories: list[SweepAdvisory] = []
-    truncation = None
-
-    for delta in np.linspace(0.0, request.delta_max, request.steps):
+    for k, delta in enumerate(deltas):
         tx = x0 - float(delta)
-        offsets = [
-            rng.uniform(-0.5 * math.pi, 0.5 * math.pi, n - 2)
-            for _ in range(request.seeds)
-        ]
-        warm = None
-        if previous is not None:
-            warm = _path_step(chain, reference, previous, previous_tx, tx, request.branches)
-        if warm is not None:
-            candidates = [(warm, _branch(warm.full), 0)]
+        first, stability = None, None
+        if previous is None:
+            # the unloaded start: the relaxed shape itself, off the boundary
+            if abs(math.sin(ref_config[-1])) > SINGULAR_SINE:
+                first = (_solve_at(chain, reference, ref_config), branch, 0)
         else:
-            # the unloaded start, or past a fold: where the descent leads
-            warm = _newton_minimize(chain, reference, lead, tx, branch)
-            candidates = [] if warm is None else [(warm, branch, 0)]
-        for other_branch in [branch] + [b for b in request.branches if b != branch]:
-            for restart, offset in enumerate(offsets, 1):
-                solve = _newton_minimize(chain, reference, lead + offset, tx, other_branch)
-                if solve is not None:
-                    candidates.append((solve, other_branch, restart))
+            path = _path_step(chain, reference, previous, previous_tx, tx, request.branches)
+            if path is not None:
+                solve, stability = path
+                first = (solve, _branch(solve.full), 0)
+            else:
+                # past a fold: where the descent leads
+                solve = _newton_minimize(chain, reference, lead, tx, branch)
+                first = None if solve is None else (solve, branch, 0)
+        queue += [((k, other, r), lead + offset, tx, other)
+                  for other in request.branches for r, offset in zip(restarts, offsets[k])]
+        chosen = first
+        if first is None:
+            run_queue()
+            chosen = min(candidates(k, branch, None), key=lambda c: c[0].energy, default=None)
+            if chosen is None:
+                # no shape of the chain reaches closer to its base than this
+                inner = 2.0 * float(np.max(chain.link_lengths)) - chain.total_length
+                reason = NO_EQUILIBRIUM if abs(tx) >= inner else NO_CLOSURE
+                truncation = SweepTruncation(delta_x=float(delta), reason=reason)
+                break
+        steps.append((float(delta), branch, first, chosen, stability))
+        previous, lead, previous_tx, branch = chosen[0], chosen[0].full[:-2], tx, chosen[1]
+    run_queue()
 
-        if not candidates:
-            # no shape of the chain reaches closer to its base than this
-            inner = 2.0 * float(np.max(chain.link_lengths)) - chain.total_length
-            reason = NO_EQUILIBRIUM if abs(tx) >= inner else NO_CLOSURE
-            truncation = SweepTruncation(delta_x=float(delta), reason=reason)
-            break
-
-        note = ""
-        if warm is not None:
-            solve, branch, restart = candidates[0]
-        else:
-            solve, branch, restart = min(candidates, key=lambda c: c[0].energy)
-            note = "no warm equilibrium; continued from a restart"
-
-        for other, other_branch, _ in candidates:
+    # pass 2: advise and record, step by step
+    points, log, advisories = [], [], []
+    for k, (delta, elbow, first, (solve, branch, restart), stability) in enumerate(steps):
+        note = "" if first is not None else "no warm equilibrium; continued from a restart"
+        for other, other_branch, _ in candidates(k, elbow, first):
             gap = float(np.max(np.abs(other.full[:-2] - solve.full[:-2])))
             if other_branch == branch and gap <= 1e-3:
                 continue
             if other.energy < solve.energy - 1e-9:
                 advisories.append(SweepAdvisory(
-                    delta_x=float(delta), primary_energy=solve.energy,
+                    delta_x=delta, primary_energy=solve.energy,
                     alternative_energy=other.energy, angle_gap=gap,
                 ))
                 break
 
-        stability, degenerate = classify_stability(solve.hessian)
+        tag, degenerate = stability or classify_stability(solve.hessian)
         if degenerate:
             note = (note + "; " if note else "") + "degenerate stability"
 
-        points.append(solve.point(stability, float(delta), ref_config, pre_displacement))
-        log.append(SweepStepRecord(float(delta), branch, restart, note))
-        previous, lead, previous_tx = solve, solve.full[:-2], tx
+        points.append(solve.point(tag, delta, ref_config, pre_displacement))
+        log.append(SweepStepRecord(delta, branch, restart, note))
 
     for i in range(1, len(points)):
         drop = points[i - 1].strain_energy - points[i].strain_energy
@@ -720,27 +822,6 @@ def _feasible_arcs(lengths, tx, ty):
     return [(psi + inner, psi + outer), (psi - outer, psi - inner)]
 
 
-def _loop_energies(lengths, stiffness, reference, phi, tx, branch):
-    """_closed_energy of a three-link chain over arrays of first-joint angles.
-
-    The closure repeats _ik_two_link_raw elementwise, with its reach
-    tolerance and q2 wrapped into [-pi, pi]; infeasible angles give +inf.
-    """
-    l1, la, lb = lengths
-    dx, dy = tx - l1 * np.cos(phi), -l1 * np.sin(phi)
-    d2 = dx * dx + dy * dy
-    reach, gap = la + lb, la - lb
-    c2 = np.clip((d2 - la * la - lb * lb) / (2.0 * la * lb), -1.0, 1.0)
-    s2 = branch * np.sqrt(np.maximum(0.0, (reach * reach - d2) * (d2 - gap * gap)))
-    s2 /= 2.0 * la * lb
-    q2 = np.arctan2(dy, dx) - np.arctan2(lb * s2, la + lb * c2) - phi
-    q2 -= math.tau * np.round(q2 / math.tau)
-    angles = (phi, q2, np.arctan2(s2, c2))
-    total = sum(k * (q - r) * (q - r) for k, q, r in zip(stiffness, angles, reference))
-    d, tol = np.sqrt(d2), 1e-9 * reach
-    return np.where((d <= reach + tol) & (d >= abs(gap) - tol), 0.5 * total, np.inf)
-
-
 def _newton_bisection(at, x, solve, other):
     """Zero of the reduced gradient g(phi) between x and `other`.
 
@@ -787,12 +868,10 @@ def _interval_equilibria(chain, reference, tx, branch, ends):
     lengths = tuple(float(v) for v in chain.link_lengths)
 
     def at(phi):
-        energy, full = _closed_energy(
-            lengths, chain.joint_stiffness, reference, [phi], tx, 0.0, branch
-        )
+        full = _close_chain_raw(lengths, [phi], tx, 0.0, branch)
         if full is None or abs(math.sin(full[-1])) <= SINGULAR_SINE:
             return None
-        return _Solve(energy, np.asarray(full), *_reduced_derivatives(chain, reference, full))
+        return _solve_at(chain, reference, full)
 
     starts = [(phi, solve) for phi, solve in zip(ends, map(at, ends)) if solve is not None]
     if len(starts) == 2 and abs(starts[0][1].full[1] - starts[1][1].full[1]) < math.pi:
@@ -809,9 +888,9 @@ def _interval_equilibria(chain, reference, tx, branch, ends):
             continue
         # near the boundary the chart's closure limits the balance; Newton
         # steps in full coordinates take it to rounding
-        polished = _correct(chain, reference, solve.full, solve.force, tx)
-        if polished is not None and abs(math.sin(polished[-1])) > SINGULAR_SINE:
-            solve = _solve_at(chain, reference, polished)
+        full, jac = _correct(chain, reference, solve.full, solve.force, tx)
+        if full is not None and abs(math.sin(full[-1])) > SINGULAR_SINE:
+            solve = _solve_at(chain, reference, full, jac)
         found.append(solve)
     return found
 
@@ -874,11 +953,12 @@ def three_link_equilibria(
                 )
                 if full is None:
                     continue
-                tau = stiffness * (np.asarray(full) - reference)
+                full = np.asarray(full)
+                tau = stiffness * (full - reference)
                 if np.max(np.abs(tau)) <= 1e-9 * np.max(stiffness):
                     found.append(_Solve(
-                        energy, np.asarray(full), np.zeros(2), np.zeros(0),
-                        np.zeros((0, 0)), tau,
+                        energy, full, _jacobian_raw(chain.link_lengths, full), np.zeros(2),
+                        np.zeros(0), np.zeros((0, 0)), tau,
                     ))
             continue
 
@@ -887,7 +967,7 @@ def three_link_equilibria(
         forward = ts < 0.5
         phis = np.where(forward, lo + 2.0 * ts * span, hi - (2.0 * ts - 1.0) * span)
         branches = np.where(forward, 1, -1)
-        values = _loop_energies(lengths, stiffness, reference, phis, tx, branches)
+        values = _closed_energies(lengths, stiffness, reference, phis[:, None], tx, branches)[0]
         before, after = np.roll(values, 1), np.roll(values, -1)
         low = (values <= before) & (values <= after) & ((values < before) | (values < after))
         high = (values >= before) & (values >= after) & ((values > before) | (values > after))

@@ -226,3 +226,23 @@ class TestCloseChain:
             tip = forward_kinematics(chain, full)
             assert tip.x == pytest.approx(2.4)
             assert tip.y == pytest.approx(0.1)
+
+
+def test_models_copy_the_callers_arrays():
+    """The caller's arrays stay writeable, and editing them later does not
+    reach the model."""
+    lengths, stiffness = np.array([1.0, 2.0, 1.5]), np.array([1.0, 0.5, 2.0])
+    q, q0 = np.array([0.1, -0.2, 0.3]), np.array([0.0, 0.1, 0.2])
+    chain = ChainModel(lengths, stiffness)
+    config = Configuration(q, q0)
+    same = Configuration(q, q)
+    for array in (lengths, stiffness, q, q0):
+        assert array.flags.writeable
+    lengths[0], stiffness[1], q[2], q0[0] = 9.0, 9.0, 9.0, 9.0
+    np.testing.assert_array_equal(chain.link_lengths, [1.0, 2.0, 1.5])
+    np.testing.assert_array_equal(chain.joint_stiffness, [1.0, 0.5, 2.0])
+    np.testing.assert_array_equal(config.angles, [0.1, -0.2, 0.3])
+    np.testing.assert_array_equal(config.reference_angles, [0.0, 0.1, 0.2])
+    np.testing.assert_array_equal(same.reference_angles, [0.1, -0.2, 0.3])
+    for array in (chain.link_lengths, chain.joint_stiffness, config.angles, same.angles):
+        assert not array.flags.writeable

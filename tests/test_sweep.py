@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elastichain import (
     ChainModel,
@@ -25,7 +27,14 @@ from elastichain import (
     twolink_curve,
 )
 from elastichain import sweep as sweep_module
-from elastichain.sweep import NO_CLOSURE, _closed_energy, _loop_energies, _newton_minimize
+from elastichain.sweep import (
+    NO_CLOSURE,
+    _closed_energies,
+    _closed_energy,
+    _minimize_stack,
+    _newton_minimize,
+    _restart_offsets,
+)
 
 # unloaded shape of the three-link chain with spring references
 # (-pi/4, -pi/3) at the two active joints, solved so the tip sits on the axis
@@ -279,7 +288,8 @@ class TestThreeLinkEquilibria:
                 assert tip.y == pytest.approx(0.0, abs=1e-9)
 
     def test_loop_energies_match_the_scalar_closure(self):
-        """The vectorised grid energy against _closed_energy, point by point."""
+        """The grid energy of the loop scan, the stacked closure with the
+        first-joint angle as a one-column lead, against _closed_energy."""
         rng = np.random.default_rng(5)
         for _ in range(40):
             lengths = tuple(rng.uniform(0.5, 1.5, 3))
@@ -288,7 +298,7 @@ class TestThreeLinkEquilibria:
             tx = float(rng.uniform(-0.5, 3.0))
             phis = rng.uniform(-math.pi, math.pi, 200)
             branches = rng.choice([-1, 1], 200)
-            grid = _loop_energies(lengths, stiffness, reference, phis, tx, branches)
+            grid, _ = _closed_energies(lengths, stiffness, reference, phis[:, None], tx, branches)
             for phi, branch, value in zip(phis, branches, grid):
                 energy, _ = _closed_energy(
                     lengths, stiffness, reference, [float(phi)], tx, 0.0, int(branch)
@@ -648,13 +658,13 @@ class TestNewtonMinimize:
         ref = np.array([-0.3179, 0.0558, 0.3804, 0.3524])
         tx = forward_kinematics(chain, ref).x - 0.1
         sines = []
-        derivatives = sweep_module._reduced_derivatives
+        derivatives = sweep_module._derivatives
 
-        def recorded(chain, reference, full):
-            sines.append(abs(math.sin(full[-1])))
-            return derivatives(chain, reference, full)
+        def recorded(stiffness, reference, full, jac):
+            sines.extend(np.abs(np.sin(full[:, -1])))
+            return derivatives(stiffness, reference, full, jac)
 
-        monkeypatch.setattr(sweep_module, "_reduced_derivatives", recorded)
+        monkeypatch.setattr(sweep_module, "_derivatives", recorded)
         assert _newton_minimize(chain, tuple(ref), ref[:2], tx, -1) is None
         assert sines[-1] < 0.05 <= min(sines[:-1])
         assert all(b < a for a, b in zip(sines, sines[1:]))
@@ -677,6 +687,52 @@ class TestNewtonMinimize:
         assert classify_stability(solve.hessian) == ("stable", False)
         assert np.linalg.norm(solve.residual) < 1e-12
         assert abs(math.sin(solve.full[-1])) > 0.5
+
+
+@st.composite
+def descent_stacks(draw):
+    """A chain with spring references and m starts of the reduced descent:
+    leading angles within pi/2 of the references, targets between 0.2 and
+    0.95 of the chain's length from the base, either elbow."""
+    n = draw(st.integers(3, 5))
+    lengths = draw(st.lists(st.floats(0.6, 1.4), min_size=n, max_size=n))
+    stiffness = draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+    reference = np.array(draw(st.lists(st.floats(-0.8, 0.8), min_size=n, max_size=n)))
+    m = draw(st.integers(1, 8))
+    offset = st.lists(st.floats(-0.5 * math.pi, 0.5 * math.pi), min_size=n - 2, max_size=n - 2)
+    offsets = draw(st.lists(offset, min_size=m, max_size=m))
+    reach = draw(st.lists(st.floats(0.2, 0.95), min_size=m, max_size=m))
+    branch = draw(st.lists(st.sampled_from((1, -1)), min_size=m, max_size=m))
+    chain = ChainModel(lengths, stiffness)
+    lead = reference[: n - 2] + np.array(offsets)
+    return chain, reference, lead, chain.total_length * np.array(reach), np.array(branch)
+
+
+@settings(max_examples=40, deadline=None)
+@given(descent_stacks())
+def test_stacked_descents_match_one_row_descents(case):
+    """Rows descended together end where each ends alone."""
+    chain, reference, lead, tx, branch = case
+    together = _minimize_stack(chain, reference, lead, tx, branch)
+    alone = [_newton_minimize(chain, reference, *row) for row in zip(lead, tx, branch)]
+    assert [s is None for s in together] == [s is None for s in alone]
+    for a, b in zip(together, alone):
+        if a is not None:
+            np.testing.assert_allclose(a.full, b.full, rtol=0.0, atol=1e-12)
+
+
+def test_restart_offsets_are_the_per_step_draws():
+    """Drawn at once, the offsets are the numbers a draw per step gave."""
+    for seed, steps, seeds, width in [(0, 6, 3, 2), (7, 4, 1, 1), (3, 5, 8, 4), (1, 3, 0, 2)]:
+        rng = np.random.default_rng(seed)
+        per_step = [
+            [rng.uniform(-0.5 * math.pi, 0.5 * math.pi, width) for _ in range(seeds)]
+            for _ in range(steps)
+        ]
+        np.testing.assert_array_equal(
+            _restart_offsets(seed, steps, seeds, width),
+            np.reshape(per_step, (steps, seeds, width)),
+        )
 
 
 def test_jacobian_column_structure_supports_reduction():
