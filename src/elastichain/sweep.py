@@ -2,8 +2,10 @@
 
 An equilibrium balances J^T F + K (q - q0) = 0 with the end-point pinned at
 (x0 - delta_x, 0); the force F is the constraint's Lagrange multiplier. A
-sweep follows it in full coordinates (q, F): a tangent predictor, then
-Newton steps on the bordered (KKT) system. Past a fold in delta_x, Newton
+sweep follows it in full coordinates (q, F): a second-order predictor from
+the tangents at the last two points, then Newton steps on the bordered (KKT)
+system that stop at rounding, their last solve giving the next tangent; a
+step that fails is retried in halves. Past a fold in delta_x, Newton
 minimization of the strain energy over the leading n-2 angles, the last two
 closed onto the end-point, finds the shape the chain snaps to; minima of
 that reduced energy are stable, maxima and saddles unstable. Its gradient
@@ -48,6 +50,9 @@ CURVATURE_FLOOR = 1e-8
 ARMIJO = 1e-4
 ROUNDING = 1e-14
 MIN_STEP = 1e-10
+# Bordered Newton stops at |r| <= ROUNDING max k only after a solve at |r| <=
+# TANGENT_RESIDUAL max k: the tangent that solve gave then holds to a few 1e-8.
+TANGENT_RESIDUAL = 1e-9
 # |sin q_n| at which the closure is singular (last two links collinear), and
 # below which negative curvature while |sin q_n| still shrinks means a
 # descent slides onto that boundary.
@@ -57,6 +62,9 @@ NO_CLOSURE = "no feasible closure from any start or branch"
 NO_EQUILIBRIUM = "no start converged to an equilibrium"
 # Most restarts one stacked descent takes, which bounds a long sweep's memory.
 STACK_ROWS = 1024
+# Levels of step halving when a path step fails: step-size control of the
+# bordered continuation, not a retry in the reduced chart.
+PATH_HALVINGS = 2
 # Grid density of the closed-loop scan behind three_link_equilibria.
 THREE_LINK_GRID = 1200
 # Configurations closer than this (max angle gap, rad) count as duplicates.
@@ -550,28 +558,34 @@ def _correct(chain, reference, full, force, tx):
 
     Its Jacobian is the _bordered matrix, and angles change additively, so no
     closure wraps them. In |r| the end-point miss is weighed by max k / sum L
-    to count as a torque; the steps do not depend on that weight. Iterates
-    while |r| still halves; returns (angles, their Jacobian) if |r| then lies
-    below GRADIENT_TOLERANCE times the largest stiffness, else (None, None).
+    to count as a torque; the steps do not depend on that weight. Each solve
+    also gives the _tangent. Iterates until |r| no longer halves or reaches
+    rounding (TANGENT_RESIDUAL); returns (angles, their Jacobian, the last
+    solve's tangent) if |r| then lies below GRADIENT_TOLERANCE times the
+    largest stiffness, else Nones.
     """
     stiffness = chain.joint_stiffness
     scale = float(np.max(stiffness))
     weight = scale / chain.total_length
+    n, reference = full.size, np.asarray(reference)
+    rhs = np.zeros((n + 2, 2))
+    rhs[n, 1] = 1.0
     previous = math.inf
     for _ in range(NEWTON_ITERATIONS):
         jac = _jacobian_raw(chain.link_lengths, full)
-        torque = jac.T @ force + stiffness * (full - reference)
-        miss = (jac[1, 0] - tx, -jac[0, 0])  # J[:, 0] is (-y, x)
-        norm = math.hypot(np.linalg.norm(torque), weight * math.hypot(*miss))
-        if not norm < 0.5 * previous:
-            return (full, jac) if norm <= GRADIENT_TOLERANCE * scale else (None, None)
+        rhs[:n, 0] = jac.T @ force + stiffness * (full - reference)
+        rhs[n:, 0] = jac[1, 0] - tx, -jac[0, 0]  # J[:, 0] is (-y, x)
+        norm = math.sqrt(rhs[:n, 0] @ rhs[:n, 0] + weight * weight * (rhs[n:, 0] @ rhs[n:, 0]))
+        settled = norm <= ROUNDING * scale and previous <= TANGENT_RESIDUAL * scale
+        if settled or not norm < 0.5 * previous:
+            return (full, jac, step[:, 1]) if norm <= GRADIENT_TOLERANCE * scale else (None,) * 3
         previous = norm
         try:
-            step = np.linalg.solve(_bordered(stiffness, jac, force), np.append(torque, miss))
+            step = np.linalg.solve(_bordered(stiffness, jac, force), rhs)
         except np.linalg.LinAlgError:
-            return None, None
-        full, force = full - step[:full.size], force - step[full.size:]
-    return None, None
+            return (None,) * 3
+        full, force = full - step[:n, 0], force - step[n:, 0]
+    return (None,) * 3
 
 
 def _tangent(chain, solve):
@@ -582,26 +596,35 @@ def _tangent(chain, solve):
     return np.linalg.solve(kkt, np.eye(n + 2)[n])
 
 
-def _path_step(chain, reference, solve, tx_from, tx, branches):
-    """The loading path continued from the equilibrium `solve` at tx_from.
+def _path_step(chain, reference, start, tx, branches, halvings=PATH_HALVINGS):
+    """The loading path continued from start = (solve, tx_from, tangent, bend):
+    an equilibrium, its d(q, F)/d tx (None: take _tangent) and that tangent's
+    change per unit tx over the path step that reached it (else 0).
 
-    The _tangent predicts (q, F) at tx and _correct lands it there. Returns
-    the _Solve and its classify_stability if it is stable (positive definite
-    reduced Hessian), off the closure boundary and on an elbow sign(sin q_n)
-    in `branches`, else None, e.g. past a fold in delta_x, where the path
-    turns back.
+    _correct lands the prediction h t + h^2 bend / 2, h = tx - tx_from.
+    Returns that tuple at tx and its classify_stability if it is stable
+    (positive definite reduced Hessian), off the closure boundary and on an
+    elbow sign(sin q_n) in `branches`; else retries as two half-steps,
+    `halvings` levels deep, then gives None, e.g. past a fold in delta_x.
     """
+    solve, tx_from, tangent, bend = start
+    h, n = tx - tx_from, solve.full.size
     try:
-        step = (tx - tx_from) * _tangent(chain, solve)
+        tangent = _tangent(chain, solve) if tangent is None else tangent
     except np.linalg.LinAlgError:
         return None
-    n = solve.full.size
-    full, jac = _correct(chain, reference, solve.full + step[:n], solve.force + step[n:], tx)
-    if full is None or abs(math.sin(full[-1])) <= SINGULAR_SINE or _branch(full) not in branches:
+    step = h * tangent + 0.5 * h * h * bend
+    full, jac, ahead = _correct(chain, reference, solve.full + step[:n], solve.force + step[n:], tx)
+    if full is not None and abs(math.sin(full[-1])) > SINGULAR_SINE and _branch(full) in branches:
+        point = _solve_at(chain, reference, full, jac)
+        tag, degenerate, lowest = _stability(point.hessian)
+        if lowest > 0.0:
+            return (point, tx, ahead, (ahead - tangent) / h), (tag, degenerate)
+    if not halvings:
         return None
-    solve = _solve_at(chain, reference, full, jac)
-    tag, degenerate, lowest = _stability(solve.hessian)
-    return (solve, (tag, degenerate)) if lowest > 0.0 else None
+    half = _path_step(chain, reference, (solve, tx_from, tangent, bend), 0.5 * (tx_from + tx),
+                      branches, halvings - 1)
+    return half and _path_step(chain, reference, half[0], tx, branches, halvings - 1)
 
 
 def _branch(full):
@@ -653,6 +676,8 @@ def _snap_to_axis(chain, config, branches):
 def _restart_offsets(seed, steps, seeds, width):
     """The random restart offsets of a sweep, (steps, seeds, width) angles in
     [-pi/2, pi/2): the numbers a draw of (seeds, width) per step gives."""
+    if not seeds:  # a seedless sweep leaves numpy.random unimported
+        return np.empty((steps, 0, width))
     return np.random.default_rng(seed).uniform(-0.5 * math.pi, 0.5 * math.pi, (steps, seeds, width))
 
 
@@ -714,19 +739,19 @@ def sweep_force_deflection(
     # pass 1: the path; per step (delta, previous elbow, first, the chosen
     # candidate, its stability if it is a path point)
     steps, truncation = [], None
-    previous, lead, previous_tx = None, ref_config[:-2], x0  # the last point
+    previous, lead = None, ref_config[:-2]  # the last point, as _path_step starts
     for k, delta in enumerate(deltas):
         tx = x0 - float(delta)
-        first, stability = None, None
+        first, stability, start = None, None, None
         if previous is None:
             # the unloaded start: the relaxed shape itself, off the boundary
             if abs(math.sin(ref_config[-1])) > SINGULAR_SINE:
                 first = (_solve_at(chain, reference, ref_config), branch, 0)
         else:
-            path = _path_step(chain, reference, previous, previous_tx, tx, request.branches)
+            path = _path_step(chain, reference, previous, tx, request.branches)
             if path is not None:
-                solve, stability = path
-                first = (solve, _branch(solve.full), 0)
+                start, stability = path
+                first = (start[0], _branch(start[0].full), 0)
             else:
                 # past a fold: where the descent leads
                 solve = _newton_minimize(chain, reference, lead, tx, branch)
@@ -744,7 +769,7 @@ def sweep_force_deflection(
                 truncation = SweepTruncation(delta_x=float(delta), reason=reason)
                 break
         steps.append((float(delta), branch, first, chosen, stability))
-        previous, lead, previous_tx, branch = chosen[0], chosen[0].full[:-2], tx, chosen[1]
+        previous, lead, branch = start or (chosen[0], tx, None, 0.0), chosen[0].full[:-2], chosen[1]
     run_queue()
 
     # pass 2: advise and record, step by step
@@ -888,7 +913,7 @@ def _interval_equilibria(chain, reference, tx, branch, ends):
             continue
         # near the boundary the chart's closure limits the balance; Newton
         # steps in full coordinates take it to rounding
-        full, jac = _correct(chain, reference, solve.full, solve.force, tx)
+        full, jac, _ = _correct(chain, reference, solve.full, solve.force, tx)
         if full is not None and abs(math.sin(full[-1])) > SINGULAR_SINE:
             solve = _solve_at(chain, reference, full, jac)
         found.append(solve)

@@ -324,3 +324,23 @@ def test_import_leaves_scipy_out():
         [sys.executable, "-c", check], env={**os.environ, "PYTHONPATH": str(src)},
         check=True,
     )
+
+
+def test_seedless_sweep_leaves_numpy_random_out():
+    """A sweep with seeds=0 draws no restarts and so needs no generator."""
+    src = pathlib.Path(elastichain.__file__).resolve().parents[1]
+    check = (
+        "import sys, numpy; print('numpy.random' in sys.modules)\n"
+        "import elastichain as ec\n"
+        "q = [-0.3179, 0.0558, 0.3804, 0.3524]\n"
+        "chain, shape = ec.ChainModel([1] * 4, [1] * 4), ec.Configuration(q, q)\n"
+        "ec.sweep_force_deflection(ec.SweepRequest(chain, shape, 0.3, 5, seeds=0))\n"
+        "print('numpy.random' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", check], env={**os.environ, "PYTHONPATH": str(src)},
+        check=True, capture_output=True, text=True,
+    ).stdout.split()
+    if out[0] == "True":
+        pytest.skip("this numpy imports numpy.random with itself")
+    assert out[1] == "False"

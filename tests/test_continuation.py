@@ -21,7 +21,10 @@ from elastichain import (
     forward_kinematics,
     sweep_force_deflection,
 )
+from elastichain import sweep as sweep_module
 from elastichain.sweep import NO_EQUILIBRIUM, _newton_minimize, _solve_at, _tangent
+
+TABLE_U = (-0.3179, 0.0558, 0.3804, 0.3524)
 
 
 def relaxed(angles):
@@ -141,6 +144,58 @@ def test_tangent_matches_central_differences(shape, delta):
     tangent = -_tangent(chain, _solve_at(chain, reference, q))
     np.testing.assert_allclose(tangent[:4], dq, rtol=0.0, atol=1e-6 * (1.0 + np.max(np.abs(dq))))
     np.testing.assert_allclose(tangent[4:], df, rtol=0.0, atol=1e-6 * (1.0 + np.max(np.abs(df))))
+
+
+@pytest.mark.parametrize("steps", [3, 5])
+def test_coarse_sweep_crosses_a_straight_last_elbow(steps):
+    """A path step that fails is retried as two half-steps, two levels deep.
+
+    The relaxed last elbow is straight, and the path flips it at once; a
+    whole step of 0.15 or 0.075 did not converge, and the reduced descent
+    is singular there, so such sweeps stopped at their first step."""
+    chain = ChainModel([1.0] * 4, [1.0] * 4)
+    config = on_axis(chain, (0.3, -0.5, 0.2, 0.0))
+    coarse = sweep(chain, config, 0.3, steps, seeds=0)
+    fine = sweep(chain, config, 0.3, 9, seeds=0)
+    assert coarse.truncation is None and len(coarse.points) == steps
+    assert {rec.restart for rec in coarse.branch_log} == {0}
+    for point, twin in zip(coarse.points, fine.points[:: 8 // (steps - 1)]):
+        assert point.deflection.delta_x == twin.deflection.delta_x
+        assert point.force.fx == pytest.approx(twin.force.fx, abs=1e-9)
+    assert fine.points[2].force.fx == pytest.approx(0.7116, abs=1e-4)
+    assert fine.points[4].force.fx == pytest.approx(0.8330, abs=1e-4)
+
+
+class TestPathWork:
+    """Each path point costs few bordered solves: the last Newton solve also
+    gives the tangent passed on, the predictor is second order, and Newton
+    stops once the residual reaches rounding."""
+
+    chain = ChainModel([1.0] * 4, [1.0] * 4)
+
+    def test_few_solves_per_point(self, monkeypatch):
+        calls, solve = [], np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a) or solve(a, b))
+        result = sweep(self.chain, relaxed(TABLE_U), 0.6, 30, seeds=0)
+        assert result.truncation is None and len(result.points) == 30
+        # 4.6 solves a point with a fresh tangent at each point and one more
+        # solve at rounding; 2.9 with a first-order predictor
+        assert len(calls) <= 2.5 * len(result.points)
+
+    def test_tangent_passed_on_is_the_tangent_there(self, monkeypatch):
+        passed, step = [], sweep_module._path_step
+
+        def spy(chain, reference, start, tx, branches, *rest):
+            out = step(chain, reference, start, tx, branches, *rest)
+            if out is not None:
+                passed.append(out[0])
+            return out
+
+        monkeypatch.setattr(sweep_module, "_path_step", spy)
+        sweep(self.chain, relaxed(TABLE_U), 0.6, 30, seeds=0)
+        assert len(passed) == 29
+        for solve, _, tangent, _ in passed:
+            np.testing.assert_allclose(tangent, _tangent(self.chain, solve), rtol=0.0, atol=1e-8)
 
 
 @st.composite
