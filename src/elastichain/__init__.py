@@ -31,13 +31,11 @@ from .chain import (
     jacobian,
 )
 from .errors import (
-    ComplexSpectrumError,
     DegenerateModeError,
     DegenerateModelError,
     DimensionMismatchError,
     ElasticChainError,
     NotApplicableError,
-    RankAnomalyError,
     SingularConfigurationError,
     SingularSampleError,
     UnreachableTargetError,
@@ -72,7 +70,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BucklingMode",
     "ChainModel",
-    "ComplexSpectrumError",
     "Configuration",
     "DeflectionState",
     "DegenerateModeError",
@@ -84,7 +81,6 @@ __all__ = [
     "NotApplicableError",
     "PlanarForce",
     "PlanarPoint",
-    "RankAnomalyError",
     "SingularConfigurationError",
     "SingularSampleError",
     "SweepAdvisory",

@@ -192,8 +192,7 @@ def buckling_modes(chain: ChainModel) -> list[BucklingMode]:
     gives the n-1 critical forces, real and ascending; the transverse entry
     of each mode comes from the bordered row. Modes are returned by
     ascending force (descending |eigenvalue|); the first is the primary,
-    stable one. RankAnomalyError and ComplexSpectrumError are no longer
-    raised: the reduced problem has no structural zeros and a real spectrum.
+    stable one.
 
     Raises:
         DegenerateModelError: a reduced force is zero, which happens when

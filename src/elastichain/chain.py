@@ -210,41 +210,31 @@ def _check_branch(branch) -> int:
     raise ValueError(f"branch must be +1 or -1, got {branch!r}")
 
 
-def _ik_two_link_raw(
-    l_a: float,
-    l_b: float,
-    tx: float,
-    ty: float,
-    ox: float,
-    oy: float,
-    heading: float,
-    branch: int,
-):
-    """Two-link closure without validation. Returns (q_a, q_b) or None."""
-    dx = tx - ox
-    dy = ty - oy
+def _two_link(l_a, l_b, dx, dy, heading, branch):
+    """Two-link closure without validation, element by element on floats or
+    arrays: a link of length l_a, whose incoming heading is `heading`, then
+    one of l_b, reaching (dx, dy) from their common origin with the elbow
+    sine of sign `branch`.
+
+    Returns (q_a, q_b, feasible); feasible is False where the target lies
+    outside the annulus by more than 1e-9 of the reach, and the angles there
+    are meaningless.
+    """
     d2 = dx * dx + dy * dy
-    d = math.sqrt(d2)
-    reach = l_a + l_b
+    reach, gap = l_a + l_b, l_a - l_b
     tol = 1e-9 * reach
-    if d > reach + tol or d < abs(l_a - l_b) - tol:
-        return None
-    c2 = (d2 - l_a * l_a - l_b * l_b) / (2.0 * l_a * l_b)
-    if c2 > 1.0:
-        c2 = 1.0
-    elif c2 < -1.0:
-        c2 = -1.0
+    d = np.sqrt(d2)
+    feasible = (d <= reach + tol) & (d >= abs(gap) - tol)
+    c2 = np.minimum(np.maximum((d2 - l_a * l_a - l_b * l_b) / (2.0 * l_a * l_b), -1.0), 1.0)
     # 1 - c2^2 = (1 - c2)(1 + c2), each factor from the squared distance to
     # one edge of the annulus; taken from c2 itself it loses digits near the
     # inner edge when the two links are nearly equal
-    gap = l_a - l_b
-    s2 = branch * math.sqrt(max(0.0, (reach * reach - d2) * (d2 - gap * gap)))
-    s2 /= 2.0 * l_a * l_b
-    q_b = math.atan2(s2, c2)
-    q_a = math.atan2(dy, dx) - math.atan2(l_b * s2, l_a + l_b * c2) - heading
-    # keep the proximal angle in (-pi, pi] so spring deflections stay bounded
-    q_a = math.remainder(q_a, math.tau)
-    return q_a, q_b
+    s2 = branch * np.sqrt(np.maximum(0.0, (reach * reach - d2) * (d2 - gap * gap)))
+    s2 = s2 / (2.0 * l_a * l_b)
+    q_a = np.arctan2(dy, dx) - np.arctan2(l_b * s2, l_a + l_b * c2) - heading
+    # keep the proximal angle in [-pi, pi] so spring deflections stay bounded
+    q_a = q_a - math.tau * np.rint(q_a / math.tau)
+    return q_a, np.arctan2(s2, c2), feasible
 
 
 def ik_two_link(
@@ -273,45 +263,30 @@ def ik_two_link(
     if l_a <= 0.0 or l_b <= 0.0:
         raise ValueError("link lengths must be positive")
     sign = _check_branch(branch)
-    result = _ik_two_link_raw(
-        float(l_a), float(l_b), target.x, target.y, origin.x, origin.y,
-        float(origin_heading), sign,
-    )
-    if result is None:
-        d = math.hypot(target.x - origin.x, target.y - origin.y)
+    dx, dy = target.x - origin.x, target.y - origin.y
+    heading = _finite_scalar(origin_heading, "origin_heading")
+    q_a, q_b, feasible = _two_link(float(l_a), float(l_b), dx, dy, heading, sign)
+    if not feasible:
         raise UnreachableTargetError(
-            f"target at distance {d:.6g} outside reachable annulus "
+            f"target at distance {math.hypot(dx, dy):.6g} outside reachable annulus "
             f"[{abs(l_a - l_b):.6g}, {l_a + l_b:.6g}]"
         )
-    return result
+    return float(q_a), float(q_b)
 
 
-def _close_chain_raw(lengths, lead, tx: float, ty: float, branch: int):
-    """Closure over the last two links without validation.
-
-    Args:
-        lengths: sequence of n link lengths (n >= 3).
-        lead: n-2 leading joint angles.
-        tx, ty: target end-point.
-        branch: elbow sign, +1 or -1.
-
-    Returns:
-        List of n joint angles, or None when the wrist cannot reach.
-    """
-    heading = 0.0
-    wx = 0.0
-    wy = 0.0
-    m = len(lengths) - 2
-    for i in range(m):
-        heading += lead[i]
-        wx += lengths[i] * math.cos(heading)
-        wy += lengths[i] * math.sin(heading)
-    tail = _ik_two_link_raw(
-        lengths[m], lengths[m + 1], tx, ty, wx, wy, heading, branch
-    )
-    if tail is None:
-        return None
-    return [*lead, tail[0], tail[1]]
+def _close_chains(lengths, lead, tx, ty, branch):
+    """_two_link closures of the last two links onto (tx, ty) over a stack
+    of leading angles lead (m, n-2): (angles (m, n), feasible (m,)). tx, ty
+    and branch are scalars or (m,); cumsum keeps the wrist's sums sequential."""
+    m = lead.shape[1]
+    heading = lead.cumsum(axis=1)
+    wx = (lengths[:m] * np.cos(heading)).cumsum(axis=1)[:, -1]
+    wy = (lengths[:m] * np.sin(heading)).cumsum(axis=1)[:, -1]
+    full = np.empty((len(lead), m + 2))
+    full[:, :m] = lead
+    full[:, m], full[:, m + 1], feasible = _two_link(*lengths[m:], tx - wx, ty - wy,
+                                                     heading[:, -1], branch)
+    return full, feasible
 
 
 def close_chain(chain: ChainModel, leading_angles, target: PlanarPoint,
@@ -340,12 +315,10 @@ def close_chain(chain: ChainModel, leading_angles, target: PlanarPoint,
     if not np.all(np.isfinite(lead)):
         raise ValueError("leading angles must be finite")
     sign = _check_branch(branch)
-    full = _close_chain_raw(
-        tuple(chain.link_lengths), lead.tolist(), target.x, target.y, sign
-    )
-    if full is None:
+    full, feasible = _close_chains(chain.link_lengths, lead[None], target.x, target.y, sign)
+    if not feasible[0]:
         raise UnreachableTargetError(
             "wrist of the leading sub-chain cannot reach the target with the "
             "last two links"
         )
-    return np.asarray(full, dtype=float)
+    return full[0]

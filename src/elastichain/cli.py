@@ -21,10 +21,8 @@ import numpy as np
 from .buckling import buckling_modes
 from .chain import ChainModel, Configuration, forward_kinematics
 from .errors import (
-    ComplexSpectrumError,
     DegenerateModelError,
     ElasticChainError,
-    RankAnomalyError,
     SingularSampleError,
     UnreachableTargetError,
 )
@@ -383,7 +381,7 @@ def main(argv=None) -> int:
     except DegenerateModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (RankAnomalyError, ComplexSpectrumError, UnreachableTargetError) as exc:
+    except UnreachableTargetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except (ValueError, OSError) as exc:

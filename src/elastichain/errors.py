@@ -25,22 +25,6 @@ class DegenerateModelError(ElasticChainError, ValueError):
     """
 
 
-class RankAnomalyError(ElasticChainError):
-    """The linearized system produced an unexpected zero-eigenvalue count.
-
-    Kept for compatibility: the symmetric solve in buckling_modes has no
-    structural zeros to count and no longer raises it.
-    """
-
-
-class ComplexSpectrumError(ElasticChainError):
-    """An eigenvalue acquired an imaginary part beyond tolerance.
-
-    Kept for compatibility: buckling_modes solves a symmetric problem, whose
-    spectrum is real, and no longer raises it.
-    """
-
-
 class DegenerateModeError(ElasticChainError):
     """A buckling mode produces no axial deflection; its energy factor is undefined."""
 

@@ -26,8 +26,9 @@ from .chain import (
     Configuration,
     DeflectionState,
     PlanarPoint,
-    _close_chain_raw,
+    _close_chains,
     _jacobian_raw,
+    _two_link,
     check_configuration,
     close_chain,
     forward_kinematics,
@@ -185,11 +186,11 @@ def reduced_energy(
     closures are reported as +inf so minimizers treat them as barriers.
     """
     check_configuration(chain, initial_config)
-    lead = np.asarray(leading_angles, dtype=float).tolist()
-    return _closed_energy(
-        tuple(chain.link_lengths), chain.joint_stiffness,
-        initial_config.reference_angles, lead, target.x, target.y, int(branch),
-    )[0]
+    lead = np.asarray(leading_angles, dtype=float)[None]
+    return float(_closed_energies(
+        chain.link_lengths, chain.joint_stiffness, initial_config.reference_angles,
+        lead, target.x, target.y, int(branch),
+    )[0][0])
 
 
 @dataclass(frozen=True)
@@ -334,43 +335,12 @@ def detect_quasi_buckling(result, drop_ratio: float = 0.1) -> list[tuple[float, 
 # Newton steps: reduced (leading angles) and bordered (all angles and F)
 
 
-def _closed_energy(lengths, stiffness, reference, lead, tx, ty, branch):
-    """(spring energy, angles) of the closure onto (tx, ty), or (inf, None)."""
-    full = _close_chain_raw(lengths, lead, tx, ty, branch)
-    if full is None:
-        return math.inf, None
-    total = sum(k * (q - r) * (q - r) for k, q, r in zip(stiffness, full, reference))
-    return 0.5 * total, full
-
-
-def _closed_energies(lengths, stiffness, reference, lead, tx, branch):
-    """_closed_energy onto (tx, 0) over a stack of starts lead (m, n-2).
-
-    tx and branch are scalars or (m,). Row by row this is the arithmetic of
-    _close_chain_raw, with its reach tolerance and q_{n-1} wrapped into
-    [-pi, pi]; cumsum keeps its sums sequential. Returns (energies, angles
-    (m, n)); infeasible rows have energy +inf and meaningless angles.
-    """
-    m = lead.shape[1]
-    heading = lead.cumsum(axis=1)
-    wx = (lengths[:m] * np.cos(heading)).cumsum(axis=1)[:, -1]
-    wy = (lengths[:m] * np.sin(heading)).cumsum(axis=1)[:, -1]
-    la, lb = lengths[m:]
-    dx, dy = tx - wx, 0.0 - wy
-    d2 = dx * dx + dy * dy
-    reach, gap, tol = la + lb, la - lb, 1e-9 * (la + lb)
-    d = np.sqrt(d2)
-    c2 = np.minimum(np.maximum((d2 - la * la - lb * lb) / (2.0 * la * lb), -1.0), 1.0)
-    s2 = branch * np.sqrt(np.maximum(0.0, (reach * reach - d2) * (d2 - gap * gap)))
-    s2 /= 2.0 * la * lb
-    qa = np.arctan2(dy, dx) - np.arctan2(lb * s2, la + lb * c2) - heading[:, -1]
-    full = np.empty((len(lead), m + 2))
-    full[:, :m] = lead
-    full[:, m] = qa - math.tau * np.rint(qa / math.tau)
-    full[:, m + 1] = np.arctan2(s2, c2)
+def _closed_energies(lengths, stiffness, reference, lead, tx, ty, branch):
+    """Spring energies and angles (m, n) of the _close_chains closures of a
+    stack of starts lead (m, n-2); infeasible rows have energy +inf."""
+    full, feasible = _close_chains(lengths, lead, tx, ty, branch)
     stretch = full - reference
     total = (stiffness * stretch * stretch).cumsum(axis=1)[:, -1]
-    feasible = (d <= reach + tol) & (d >= abs(gap) - tol)
     return np.where(feasible, 0.5 * total, np.inf), full
 
 
@@ -428,12 +398,6 @@ def _derivatives(stiffness, reference, full, jac):
     return force, gradient, hessian, tau
 
 
-def _reduced_derivatives(chain, reference, full):
-    """_derivatives at one closed configuration, with J^T F + tau for tau."""
-    solve = _solve_at(chain, reference, full)
-    return solve.force, solve.gradient, solve.hessian, solve.residual
-
-
 @dataclass(frozen=True)
 class _Solve:
     """A closed configuration with its energy, Jacobian and _derivatives."""
@@ -483,7 +447,7 @@ def _minimize_stack(chain, reference, lead, tx, branch):
     alphas = 0.5 ** np.arange(1 + int(math.log2(1.0 / MIN_STEP)))  # 1, 1/2, ... >= MIN_STEP
     blocks = alphas[:4, None], alphas[4:, None]
     results, rows = [None] * len(lead), np.arange(len(lead))
-    energy, full = closure(lead, tx, branch)
+    energy, full = closure(lead, tx, 0.0, branch)
     # |gradient| one iterate back; the start has no direction of approach to
     # the boundary, so its previous |sin q_n| is 0
     previous, previous_sine = np.full(len(lead), np.inf), np.zeros(len(lead))
@@ -521,7 +485,7 @@ def _minimize_stack(chain, reference, lead, tx, branch):
                 break
             trial = lead[pending, None] + block * step[pending, None]
             trial_energy, trial_full = closure(
-                trial.reshape(-1, lead.shape[1]), tx[pending].repeat(block.size),
+                trial.reshape(-1, lead.shape[1]), tx[pending].repeat(block.size), 0.0,
                 branch[pending].repeat(block.size))
             trial_energy = trial_energy.reshape(-1, block.size)
             base = energy[pending, None]
@@ -542,14 +506,17 @@ def _newton_minimize(chain, reference, lead, tx, branch):
     return _minimize_stack(chain, reference, lead, np.array([tx]), np.array([branch]))[0]
 
 
-def _solve_at(chain, reference, full, jac=None):
-    """The _Solve at a configuration that closes the chain (jac: its Jacobian)."""
+def _solve_at(chain, reference, full, jac=None, force=None):
+    """The _Solve at a configuration that closes the chain (jac: its
+    Jacobian). Its force and residual come from `force`, e.g. the bordered
+    Newton multiplier, if given, else from _derivatives."""
     full = np.asarray(full, dtype=float)
     if jac is None:
         jac = _jacobian_raw(chain.link_lengths, full)
     stretch = full - np.asarray(reference)
     energy = 0.5 * float(chain.joint_stiffness @ (stretch * stretch))
-    force, gradient, hessian, tau = _derivatives(chain.joint_stiffness, reference, full, jac)
+    chart_force, gradient, hessian, tau = _derivatives(chain.joint_stiffness, reference, full, jac)
+    force = chart_force if force is None else force
     return _Solve(energy, full, jac, force, gradient, hessian, jac.T @ force + tau)
 
 
@@ -560,8 +527,8 @@ def _correct(chain, reference, full, force, tx):
     closure wraps them. In |r| the end-point miss is weighed by max k / sum L
     to count as a torque; the steps do not depend on that weight. Each solve
     also gives the _tangent. Iterates until |r| no longer halves or reaches
-    rounding (TANGENT_RESIDUAL); returns (angles, their Jacobian, the last
-    solve's tangent) if |r| then lies below GRADIENT_TOLERANCE times the
+    rounding (TANGENT_RESIDUAL); returns (angles, their Jacobian, force, the
+    last solve's tangent) if |r| then lies below GRADIENT_TOLERANCE times the
     largest stiffness, else Nones.
     """
     stiffness = chain.joint_stiffness
@@ -578,14 +545,15 @@ def _correct(chain, reference, full, force, tx):
         norm = math.sqrt(rhs[:n, 0] @ rhs[:n, 0] + weight * weight * (rhs[n:, 0] @ rhs[n:, 0]))
         settled = norm <= ROUNDING * scale and previous <= TANGENT_RESIDUAL * scale
         if settled or not norm < 0.5 * previous:
-            return (full, jac, step[:, 1]) if norm <= GRADIENT_TOLERANCE * scale else (None,) * 3
+            converged = norm <= GRADIENT_TOLERANCE * scale
+            return (full, jac, force, step[:, 1]) if converged else (None,) * 4
         previous = norm
         try:
             step = np.linalg.solve(_bordered(stiffness, jac, force), rhs)
         except np.linalg.LinAlgError:
-            return (None,) * 3
+            return (None,) * 4
         full, force = full - step[:n, 0], force - step[n:, 0]
-    return (None,) * 3
+    return (None,) * 4
 
 
 def _tangent(chain, solve):
@@ -614,9 +582,10 @@ def _path_step(chain, reference, start, tx, branches, halvings=PATH_HALVINGS):
     except np.linalg.LinAlgError:
         return None
     step = h * tangent + 0.5 * h * h * bend
-    full, jac, ahead = _correct(chain, reference, solve.full + step[:n], solve.force + step[n:], tx)
+    full, jac, force, ahead = _correct(
+        chain, reference, solve.full + step[:n], solve.force + step[n:], tx)
     if full is not None and abs(math.sin(full[-1])) > SINGULAR_SINE and _branch(full) in branches:
-        point = _solve_at(chain, reference, full, jac)
+        point = _solve_at(chain, reference, full, jac, force)
         tag, degenerate, lowest = _stability(point.hessian)
         if lowest > 0.0:
             return (point, tx, ahead, (ahead - tangent) / h), (tag, degenerate)
@@ -890,13 +859,17 @@ def _interval_equilibria(chain, reference, tx, branch, ends):
     wrapped energy or of the boundary, not an equilibrium; the others are
     polished by _correct.
     """
-    lengths = tuple(float(v) for v in chain.link_lengths)
+    l_1, l_a, l_b = (float(v) for v in chain.link_lengths)
 
     def at(phi):
-        full = _close_chain_raw(lengths, [phi], tx, 0.0, branch)
-        if full is None or abs(math.sin(full[-1])) <= SINGULAR_SINE:
+        # the target seen from the wrist of link 1; 0.0 - y, not -y, so that
+        # y = 0 gives atan2(+0.0, dx) = pi as in _close_chains, not -pi
+        q_a, q_b, feasible = _two_link(
+            l_a, l_b, tx - l_1 * math.cos(phi), 0.0 - l_1 * math.sin(phi), phi, branch
+        )
+        if not feasible or abs(math.sin(q_b)) <= SINGULAR_SINE:
             return None
-        return _solve_at(chain, reference, full)
+        return _solve_at(chain, reference, np.array([phi, q_a, q_b]))
 
     starts = [(phi, solve) for phi, solve in zip(ends, map(at, ends)) if solve is not None]
     if len(starts) == 2 and abs(starts[0][1].full[1] - starts[1][1].full[1]) < math.pi:
@@ -913,7 +886,7 @@ def _interval_equilibria(chain, reference, tx, branch, ends):
             continue
         # near the boundary the chart's closure limits the balance; Newton
         # steps in full coordinates take it to rounding
-        full, jac, _ = _correct(chain, reference, solve.full, solve.force, tx)
+        full, jac, _, _ = _correct(chain, reference, solve.full, solve.force, tx)
         if full is not None and abs(math.sin(full[-1])) > SINGULAR_SINE:
             solve = _solve_at(chain, reference, full, jac)
         found.append(solve)
@@ -973,14 +946,11 @@ def three_link_equilibria(
             # a single closure, kept when torque-free (the unloaded straight
             # chain); it has no free coordinate, so its reduced Hessian is empty
             for branch in (1, -1):
-                energy, full = _closed_energy(
-                    lengths, stiffness, reference, [0.5 * (lo + hi)], tx, 0.0, branch
-                )
-                if full is None:
-                    continue
-                full = np.asarray(full)
+                energy, full = _closed_energies(lengths, stiffness, reference,
+                                                np.array([[0.5 * (lo + hi)]]), tx, 0.0, branch)
+                energy, full = float(energy[0]), full[0]
                 tau = stiffness * (full - reference)
-                if np.max(np.abs(tau)) <= 1e-9 * np.max(stiffness):
+                if energy < math.inf and np.max(np.abs(tau)) <= 1e-9 * np.max(stiffness):
                     found.append(_Solve(
                         energy, full, _jacobian_raw(chain.link_lengths, full), np.zeros(2),
                         np.zeros(0), np.zeros((0, 0)), tau,
@@ -992,7 +962,8 @@ def three_link_equilibria(
         forward = ts < 0.5
         phis = np.where(forward, lo + 2.0 * ts * span, hi - (2.0 * ts - 1.0) * span)
         branches = np.where(forward, 1, -1)
-        values = _closed_energies(lengths, stiffness, reference, phis[:, None], tx, branches)[0]
+        values, _ = _closed_energies(lengths, stiffness, reference, phis[:, None], tx, 0.0,
+                                     branches)
         before, after = np.roll(values, 1), np.roll(values, -1)
         low = (values <= before) & (values <= after) & ((values < before) | (values < after))
         high = (values >= before) & (values >= after) & ((values > before) | (values > after))

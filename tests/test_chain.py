@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elastichain import (
     ChainModel,
@@ -16,6 +18,7 @@ from elastichain import (
     ik_two_link,
     jacobian,
 )
+from elastichain.chain import _close_chains
 
 
 class TestChainModel:
@@ -226,6 +229,39 @@ class TestCloseChain:
             tip = forward_kinematics(chain, full)
             assert tip.x == pytest.approx(2.4)
             assert tip.y == pytest.approx(0.1)
+
+
+@st.composite
+def closure_stacks(draw):
+    """A chain of 3 to 6 links, an off-axis target within its reach and a
+    stack of leading angles with an elbow branch per row."""
+    n = draw(st.integers(3, 6))
+    lengths = draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n))
+    reach = draw(st.floats(0.05, 1.0)) * sum(lengths)
+    heading = draw(st.floats(-math.pi, math.pi))
+    rows = draw(st.integers(1, 12))
+    angle = st.floats(-math.pi, math.pi)
+    lead = [draw(st.lists(angle, min_size=n - 2, max_size=n - 2)) for _ in range(rows)]
+    branches = draw(st.lists(st.sampled_from((1, -1)), min_size=rows, max_size=rows))
+    target = PlanarPoint(reach * math.cos(heading), reach * math.sin(heading))
+    return ChainModel(lengths, [1.0] * n), np.array(lead), target, np.array(branches)
+
+
+@settings(max_examples=60, deadline=None)
+@given(closure_stacks())
+def test_stacked_closures_match_close_chain(case):
+    """Each row of one stacked closure is close_chain's closure of that row,
+    and a row is infeasible exactly when close_chain raises."""
+    chain, lead, target, branches = case
+    angles, feasible = _close_chains(chain.link_lengths, lead, target.x, target.y, branches)
+    for row, full, ok, branch in zip(lead, angles, feasible, branches):
+        try:
+            single = close_chain(chain, row, target, int(branch))
+        except UnreachableTargetError:
+            assert not ok
+            continue
+        assert ok
+        np.testing.assert_allclose(full, single, rtol=0.0, atol=1e-15)
 
 
 def test_models_copy_the_callers_arrays():

@@ -166,6 +166,21 @@ def test_coarse_sweep_crosses_a_straight_last_elbow(steps):
     assert fine.points[4].force.fx == pytest.approx(0.8330, abs=1e-4)
 
 
+def test_path_points_balance_by_a_straight_last_elbow():
+    """A path point keeps the corrector's multiplier as its force. The chart's
+    multiplier -J_t^-T tau_t is ill-conditioned where the last elbow is
+    nearly straight, as at point 21 with |sin q_n| = 4.4e-4, and amplifies
+    rounding there to about 1e-12."""
+    chain = ChainModel([1.0438, 0.9548, 1.1202, 1.3678, 0.7109],
+                       [1.9481, 1.4986, 1.6938, 1.4527, 1.8055])
+    config = on_axis(chain, (-0.0785, 0.3329, -0.3774, 0.0139, 0.2904))
+    x0 = forward_kinematics(chain, config.angles).x
+    result = sweep(chain, config, 0.5 * x0, 40, seeds=0)
+    assert result.truncation is None and len(result.points) == 40
+    assert abs(math.sin(result.points[21].configuration.angles[-1])) < 1e-3
+    assert max(p.residual_norm for p in result.points) <= 1e-13
+
+
 class TestPathWork:
     """Each path point costs few bordered solves: the last Newton solve also
     gives the tangent passed on, the predictor is second order, and Newton

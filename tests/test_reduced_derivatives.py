@@ -21,7 +21,7 @@ from elastichain import (
     reduced_energy,
 )
 from elastichain.statics import PlanarForce
-from elastichain.sweep import _reduced_derivatives
+from elastichain.sweep import _solve_at
 
 GRADIENT_STEP = 1e-6
 HESSIAN_STEP = 1e-4
@@ -62,7 +62,8 @@ def test_analytic_reduced_derivatives_match_differences(case):
         return reduced_energy(chain, config, lead + shift, target, branch)
 
     full = close_chain(chain, lead, target, branch)
-    force, gradient, hessian, residual = _reduced_derivatives(chain, reference, full)
+    solve = _solve_at(chain, reference, full)
+    force, gradient, hessian, residual = solve.force, solve.gradient, solve.hessian, solve.residual
 
     basis = np.eye(m)
     h = GRADIENT_STEP

@@ -30,7 +30,6 @@ from elastichain import sweep as sweep_module
 from elastichain.sweep import (
     NO_CLOSURE,
     _closed_energies,
-    _closed_energy,
     _minimize_stack,
     _newton_minimize,
     _restart_offsets,
@@ -289,24 +288,43 @@ class TestThreeLinkEquilibria:
 
     def test_loop_energies_match_the_scalar_closure(self):
         """The grid energy of the loop scan, the stacked closure with the
-        first-joint angle as a one-column lead, against _closed_energy."""
+        first-joint angle as a one-column lead: a feasible row puts the tip
+        on (tx, 0) and carries the spring energy of its angles; a row is
+        infeasible exactly when its wrist lies outside the annulus of the
+        last two links by more than 1e-9 of their reach."""
         rng = np.random.default_rng(5)
         for _ in range(40):
             lengths = tuple(rng.uniform(0.5, 1.5, 3))
             stiffness = tuple(rng.uniform(0.0, 2.0, 3))
             reference = tuple(rng.uniform(-3.0, 3.0, 3))
+            chain = ChainModel(lengths, stiffness)
             tx = float(rng.uniform(-0.5, 3.0))
-            phis = rng.uniform(-math.pi, math.pi, 200)
-            branches = rng.choice([-1, 1], 200)
-            grid, _ = _closed_energies(lengths, stiffness, reference, phis[:, None], tx, branches)
-            for phi, branch, value in zip(phis, branches, grid):
-                energy, _ = _closed_energy(
-                    lengths, stiffness, reference, [float(phi)], tx, 0.0, int(branch)
-                )
-                if math.isinf(energy):
-                    assert math.isinf(value)
-                else:
-                    assert value == pytest.approx(energy, rel=1e-12, abs=1e-12)
+            reach, gap = lengths[1] + lengths[2], abs(lengths[1] - lengths[2])
+            tol = 1e-9 * reach
+            # random angles, and wrists half and twice the tolerance inside
+            # and outside each edge of the annulus
+            edges = [r + f * tol for r in (reach, gap) for f in (-2.0, -0.5, 0.5, 2.0)]
+            cosines = [(tx * tx + lengths[0] ** 2 - e * e) / (2.0 * tx * lengths[0]) for e in edges]
+            phis = np.append(rng.uniform(-math.pi, math.pi, 200),
+                             [math.acos(c) for c in cosines if abs(c) <= 1.0])
+            branches = rng.choice([-1, 1], phis.size)
+            grid, angles = _closed_energies(
+                lengths, stiffness, reference, phis[:, None], tx, 0.0, branches
+            )
+            for phi, value, full in zip(phis, grid, angles):
+                d = math.hypot(tx - lengths[0] * math.cos(phi), lengths[0] * math.sin(phi))
+                outside = d > reach + tol or d < gap - tol
+                assert math.isinf(value) == outside
+                if outside:
+                    continue
+                assert full[0] == phi
+                # within the tolerance the closure stretches or folds the pair
+                tip = forward_kinematics(chain, full)
+                miss = max(d - reach, gap - d, 0.0)
+                assert math.hypot(tip.x - tx, tip.y) <= miss + 1e-12
+                stretch = full - np.array(reference)
+                energy = 0.5 * float(np.dot(stiffness, stretch * stretch))
+                assert value == pytest.approx(energy, rel=1e-12, abs=1e-12)
 
     def test_u_plus_grid_balances_to_rounding(self):
         chain = u_plus_chain()
@@ -679,7 +697,7 @@ class TestNewtonMinimize:
         lead = np.array([-0.7208, 1.6736])
         start = close_chain(chain, lead, PlanarPoint(1.0757, 0.0), +1)
         assert abs(math.sin(start[-1])) < 0.05
-        hessian = sweep_module._reduced_derivatives(chain, np.asarray(ref), start)[2]
+        hessian = sweep_module._solve_at(chain, np.asarray(ref), start).hessian
         assert np.linalg.eigvalsh(hessian)[0] < 0.0
 
         solve = _newton_minimize(chain, ref, lead, 1.0757, +1)
