@@ -66,8 +66,12 @@ STACK_ROWS = 1024
 # Levels of step halving when a path step fails: step-size control of the
 # bordered continuation, not a retry in the reduced chart.
 PATH_HALVINGS = 2
-# Grid density of the closed-loop scan behind three_link_equilibria.
-THREE_LINK_GRID = 1200
+# Grid cells per elbow over a feasible arc in three_link_equilibria; its
+# refinement stops the chart stage at steps below CHART_BRACKET (rad) and reads
+# a cell's end on the closure boundary BOUNDARY_READ_IN of the cell inside it.
+THREE_LINK_GRID = 600
+CHART_BRACKET = 1e-6
+BOUNDARY_READ_IN = 1e-7
 # Configurations closer than this (max angle gap, rad) count as duplicates.
 DEDUPE_TOLERANCE = 1e-6
 
@@ -500,12 +504,6 @@ def _minimize_stack(chain, reference, lead, tx, branch):
     return results
 
 
-def _newton_minimize(chain, reference, lead, tx, branch):
-    """_minimize_stack from one start: its _Solve or None."""
-    lead = np.asarray(lead, dtype=float)[None]
-    return _minimize_stack(chain, reference, lead, np.array([tx]), np.array([branch]))[0]
-
-
 def _solve_at(chain, reference, full, jac=None, force=None):
     """The _Solve at a configuration that closes the chain (jac: its
     Jacobian). Its force and residual come from `force`, e.g. the bordered
@@ -667,9 +665,10 @@ def sweep_force_deflection(
     disconnected minima, logged as advisories rather than jumped to, so with
     seeds=0 a sweep is pure continuation. A restart starts from the previous
     point's leading angles, so restarts wait until the path is traced, or
-    until a step has no other point, and then run in stacked descents of up
-    to STACK_ROWS rows (_minimize_stack), row by row the same as one at a
-    time; `seeds` costs a few stacked descents. Solves that slide onto the
+    until a step has no path point, where that minimization joins them as
+    the step's restart 0, and then run in stacked descents of up to
+    STACK_ROWS rows (_minimize_stack), row by row the same as one at a time;
+    `seeds` costs a few stacked descents. Solves that slide onto the
     closure boundary are not equilibria and count as neither. A point's
     force is the constraint multiplier, its stability comes from the
     analytic reduced Hessian. Strain energy is checked for monotone growth
@@ -687,7 +686,7 @@ def sweep_force_deflection(
     restarts = range(1, request.seeds + 1)
 
     # restarts wait in `queue`; `found` maps (step, elbow, restart) to the
-    # equilibrium a restart reached
+    # equilibrium a restart reached, restart 0 being the descent past a fold
     queue, found = [], {}
 
     def run_queue():
@@ -722,9 +721,10 @@ def sweep_force_deflection(
                 start, stability = path
                 first = (start[0], _branch(start[0].full), 0)
             else:
-                # past a fold: where the descent leads
-                solve = _newton_minimize(chain, reference, lead, tx, branch)
-                first = None if solve is None else (solve, branch, 0)
+                # past a fold: where the descent leads, restart 0 of the queue
+                queue.append(((k, branch, 0), lead, tx, branch))
+                run_queue()
+                first = (found[k, branch, 0], branch, 0) if (k, branch, 0) in found else None
         queue += [((k, other, r), lead + offset, tx, other)
                   for other in request.branches for r, offset in zip(restarts, offsets[k])]
         chosen = first
@@ -816,48 +816,51 @@ def _feasible_arcs(lengths, tx, ty):
     return [(psi + inner, psi + outer), (psi - outer, psi - inner)]
 
 
-def _newton_bisection(at, x, solve, other):
-    """Zero of the reduced gradient g(phi) between x and `other`.
+def _newton_bisection(at, solve, other):
+    """Bracket a zero of the reduced gradient g(phi) between the angle of
+    `solve` and `other`.
 
     `at` maps an angle to its _Solve (None on the closure boundary); g at
-    `other` is taken to have the sign opposite to g at x. Newton steps are
-    replaced by bisection of that bracket whenever they would leave it or
-    shrink too slowly. Returns the iterate of smallest |g| (rounding can push
-    the last step past it), or None once an iterate reaches the boundary.
+    `other` is taken to have the sign opposite to g at the start. Newton
+    steps are replaced by bisection of that bracket whenever they would
+    leave it or shrink too slowly. Returns the iterate once the next step
+    would be below CHART_BRACKET, for _correct to finish, or None once an
+    iterate reaches the boundary.
     """
-    best, step = solve, abs(other - x)
+    x = solve.full[0]
+    step = abs(other - x)
     for _ in range(NEWTON_ITERATIONS):
         g, h = solve.gradient[0], solve.hessian[0, 0]
         newton = x - g / h if h else math.inf
-        if newton == x:
-            break
-        if (newton - x) * (newton - other) < 0.0 and abs(newton - x) < 0.5 * step:
+        if (newton - x) * (newton - other) <= 0.0 and abs(newton - x) < 0.5 * step:
             trial = newton
         else:
             trial = 0.5 * (x + other)
         step = abs(trial - x)
+        if step <= CHART_BRACKET:
+            break
         trial_solve = at(trial)
         if trial_solve is None:
             return None
         if trial_solve.gradient[0] * g < 0.0:
             other = x
         x, solve = trial, trial_solve
-        best = min(best, solve, key=lambda s: abs(s.gradient[0]))
-        if step <= ROUNDING * (1.0 + abs(x)):
-            break
-    return best
+    return solve
 
 
 def _interval_equilibria(chain, reference, tx, branch, ends):
-    """Equilibria of one elbow branch with the first-joint angle within `ends`.
+    """Equilibria of one elbow branch with the first-joint angle in the grid
+    cell ends = (lo, hi).
 
-    g must change sign over the interval. An end on the closure boundary
-    (|sin q3| <= SINGULAR_SINE, where g is infinite) takes the sign opposite
-    to the other end's; so does an end across a 2 pi wrap of q2, where the
-    energy jumps, and then either end may start the search. A limit that
-    does not balance torques to 1e-9 max(1, max|tau|) is a kink of the
-    wrapped energy or of the boundary, not an equilibrium; the others are
-    polished by _correct.
+    An end on the closure boundary (|sin q3| <= SINGULAR_SINE, where g is
+    infinite) is read BOUNDARY_READ_IN of the cell inside it. g must change
+    sign over the cell, and the search starts from the end of smaller |g|,
+    unless q2 wraps by 2 pi within the cell, where the energy jumps and
+    either end may start it. _newton_bisection brackets the zero in the
+    first-joint chart and _correct, the bordered Newton, converges to it; a
+    point is kept exactly when that converged inside the cell, on this
+    elbow, with q2 within [-pi, pi] and off the boundary. Kinks of the
+    wrapped energy and of the boundary fail that test.
     """
     l_1, l_a, l_b = (float(v) for v in chain.link_lengths)
 
@@ -871,25 +874,25 @@ def _interval_equilibria(chain, reference, tx, branch, ends):
             return None
         return _solve_at(chain, reference, np.array([phi, q_a, q_b]))
 
-    starts = [(phi, solve) for phi, solve in zip(ends, map(at, ends)) if solve is not None]
-    if len(starts) == 2 and abs(starts[0][1].full[1] - starts[1][1].full[1]) < math.pi:
-        if starts[0][1].gradient[0] * starts[1][1].gradient[0] > 0.0:
+    lo, hi = ends
+    start, stop = (at(end) or at(end + BOUNDARY_READ_IN * (inner - end))
+                   for end, inner in ((lo, hi), (hi, lo)))
+    if start is None or stop is None:
+        return []
+    starts = [(start, stop), (stop, start)]
+    if abs(start.full[1] - stop.full[1]) < math.pi:
+        if start.gradient[0] * stop.gradient[0] > 0.0:
             return []
-        starts = [min(starts, key=lambda item: abs(item[1].gradient[0]))]
+        starts = [min(starts, key=lambda pair: abs(pair[0].gradient[0]))]
     found = []
-    for x, solve in starts:
-        solve = _newton_bisection(at, x, solve, ends[1] if x == ends[0] else ends[0])
+    for solve, other in starts:
+        solve = _newton_bisection(at, solve, other.full[0])
         if solve is None:
             continue
-        tau = chain.joint_stiffness * (solve.full - reference)
-        if np.linalg.norm(solve.residual) > 1e-9 * max(1.0, float(np.max(np.abs(tau)))):
-            continue
-        # near the boundary the chart's closure limits the balance; Newton
-        # steps in full coordinates take it to rounding
         full, jac, _, _ = _correct(chain, reference, solve.full, solve.force, tx)
-        if full is not None and abs(math.sin(full[-1])) > SINGULAR_SINE:
-            solve = _solve_at(chain, reference, full, jac)
-        found.append(solve)
+        if (full is not None and lo <= full[0] <= hi and abs(full[1]) <= math.pi
+                and branch * math.sin(full[2]) > SINGULAR_SINE):
+            found.append(_solve_at(chain, reference, full, jac))
     return found
 
 
@@ -898,13 +901,14 @@ def three_link_equilibria(
 ) -> list[EquilibriumPoint]:
     """All static equilibria of a three-link chain at one axial deflection.
 
-    With the end-point pinned, a single angle parameterizes the chain; its
-    strain energy over the feasible intervals of both elbow branches forms
-    closed loops. A grid scan of each loop brackets its extrema, and a
-    safeguarded Newton iteration on the first-joint angle refines each to a
-    zero of the reduced gradient (_interval_equilibria); minima are stable,
-    maxima unstable. Kinks where the wrapped energy jumps are not
-    equilibria and are dropped. Points are returned sorted by strain energy.
+    With the end-point pinned, the first-joint angle parameterizes each
+    elbow branch over the feasible arcs. A grid scan of each elbow on its
+    own brackets the turns of its strain energy; the grid cells next to them
+    and at the ends of each arc are refined (_interval_equilibria), and a
+    point is kept exactly when the bordered Newton converges to it inside
+    its cell. Minima are stable, maxima unstable; kinks of the wrapped
+    energy or of the closure boundary are not equilibria and fail that test.
+    Points are returned sorted by strain energy.
 
     Raises:
         UnreachableTargetError: no first-joint angle reaches the deflected
@@ -941,8 +945,7 @@ def three_link_equilibria(
 
     found = []
     for lo, hi in arcs:
-        span = hi - lo
-        if span < 1e-10:
+        if hi - lo < 1e-10:
             # a single closure, kept when torque-free (the unloaded straight
             # chain); it has no free coordinate, so its reduced Hessian is empty
             for branch in (1, -1):
@@ -957,21 +960,17 @@ def three_link_equilibria(
                     ))
             continue
 
-        # walk the loop: + branch forward over [lo, hi], then - branch back
-        ts = np.linspace(0.0, 1.0, THREE_LINK_GRID, endpoint=False)
-        forward = ts < 0.5
-        phis = np.where(forward, lo + 2.0 * ts * span, hi - (2.0 * ts - 1.0) * span)
-        branches = np.where(forward, 1, -1)
-        values, _ = _closed_energies(lengths, stiffness, reference, phis[:, None], tx, 0.0,
-                                     branches)
-        before, after = np.roll(values, 1), np.roll(values, -1)
-        low = (values <= before) & (values <= after) & ((values < before) | (values < after))
-        high = (values >= before) & (values >= after) & ((values > before) | (values > after))
-        for i in np.flatnonzero(np.isfinite(values) & (low | high)):
-            # the grid intervals on either side, each on the branch of its start
-            for j in (i - 1, i):
-                ends = (float(phis[j]), float(phis[(j + 1) % ts.size]))
-                found += _interval_equilibria(chain, reference, tx, int(branches[j]), ends)
+        # each elbow on its own: the cells next to each turn of its grid
+        # energy and the cells at the ends of the arc
+        phis = np.linspace(lo, hi, THREE_LINK_GRID + 1)
+        for branch in (1, -1):
+            energy, _ = _closed_energies(lengths, stiffness, reference, phis[:, None], tx, 0.0,
+                                         branch)
+            rise = energy[1:] > energy[:-1]
+            turns = np.flatnonzero(rise[1:] != rise[:-1])
+            for j in np.unique(np.concatenate(([0, THREE_LINK_GRID - 1], turns, turns + 1))):
+                ends = (float(phis[j]), float(phis[j + 1]))
+                found += _interval_equilibria(chain, reference, tx, branch, ends)
 
     found.sort(key=lambda solve: solve.energy)
     unique = []

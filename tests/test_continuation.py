@@ -22,7 +22,7 @@ from elastichain import (
     sweep_force_deflection,
 )
 from elastichain import sweep as sweep_module
-from elastichain.sweep import NO_EQUILIBRIUM, _newton_minimize, _solve_at, _tangent
+from elastichain.sweep import NO_EQUILIBRIUM, _minimize_stack, _solve_at, _tangent
 
 TABLE_U = (-0.3179, 0.0558, 0.3804, 0.3524)
 
@@ -42,6 +42,12 @@ def on_axis(chain, angles):
 
 def sweep(chain, config, delta_max, steps, **options):
     return sweep_force_deflection(SweepRequest(chain, config, delta_max, steps, **options))
+
+
+def descend(chain, reference, lead, tx, branch):
+    """_minimize_stack from one start: its _Solve or None."""
+    lead = np.asarray(lead, dtype=float)[None]
+    return _minimize_stack(chain, reference, lead, np.array([tx]), np.array([branch]))[0]
 
 
 class TestElbowFlip:
@@ -136,7 +142,7 @@ def test_tangent_matches_central_differences(shape, delta):
     branch = 1 if math.sin(q[-1]) > 0.0 else -1
     h = 1e-5  # the O(h^2) error of the differences stays below 1e-7 here
     ahead, behind = (
-        _newton_minimize(chain, reference, q[:-2], tx - sign * h, branch) for sign in (1, -1)
+        descend(chain, reference, q[:-2], tx - sign * h, branch) for sign in (1, -1)
     )
     dq = (ahead.full - behind.full) / (2.0 * h)
     df = (ahead.force - behind.force) / (2.0 * h)

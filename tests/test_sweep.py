@@ -30,8 +30,8 @@ from elastichain import sweep as sweep_module
 from elastichain.sweep import (
     NO_CLOSURE,
     _closed_energies,
+    _feasible_arcs,
     _minimize_stack,
-    _newton_minimize,
     _restart_offsets,
 )
 
@@ -52,6 +52,12 @@ def u_plus_chain():
 def relaxed(angles):
     a = np.asarray(angles, dtype=float)
     return Configuration(a, a)
+
+
+def descend(chain, reference, lead, tx, branch):
+    """_minimize_stack from one start: its _Solve or None."""
+    lead = np.asarray(lead, dtype=float)[None]
+    return _minimize_stack(chain, reference, lead, np.array([tx]), np.array([branch]))[0]
 
 
 class TestTwoLinkMechanism:
@@ -408,6 +414,92 @@ class TestThreeLinkEquilibria:
             r = equilibrium_residual(chain, eq.configuration, eq.force)
             assert np.linalg.norm(r) <= 1e-12 * max(1.0, np.max(np.abs(tau)))
 
+    @pytest.mark.parametrize("links, springs, shape, delta, expected, others", [
+        # a straight last elbow, the lowest-energy point of its case
+        ((1.4237453573751813, 0.652007902522537, 1.0899605926495308),
+         (1.5443226591551849, 0.7048151214513292, 0.9688934706517569),
+         (0.8114586533095569, -0.7912867489693238, -1.3052814415435972), 3.573446057286485,
+         (1.936319, 2.074246, -0.000843),
+         [(2.881063, -2.209139, -3.025653, "unstable"), (3.651885, 0.123979, -2.327691, "stable")]),
+        # a folded last elbow, by the inner edge of the annulus
+        ((1.4622613949147543, 0.958860568981583, 1.4501350121123173),
+         (0.5457981073753333, 0.5991653878598293, 0.5417238592959039),
+         (-0.7333786042371998, 0.38210090646524275, 1.476830678027123), 3.889465851519233,
+         (2.806814, -1.04128, -3.136153),
+         [(1.530313, 1.675737, 1.240776, "stable"), (2.768707, -1.571415, -2.952827, "unstable"),
+          (3.725058, -0.161641, -2.591005, "stable"), (5.281857, -2.741014, 0.105254, "unstable")]),
+        # a full circle of first-joint angles, passive base, window end at 0
+        ((0.5521213258128492, 0.7227031223121352, 0.5833192851148298),
+         (0.0, 0.6873798282372572, 1.0599483203521531),
+         (0.624192952144321, -2.3354394114033177, 2.4502680767755374), 0.7908394610675191,
+         (0.014639, -2.231985, -2.271117),
+         [(1.827933, 2.203239, 2.299058, "stable"), (4.93606, 2.250609, 2.288371, "unstable"),
+          (3.157573, -2.222237, -2.316001, "unstable")]),
+        # a full circle, window end at pi
+        ((0.732271069176221, 0.8425381413233357, 0.926844601908827),
+         (0.5318853421797552, 1.4062586296061297, 1.6551840425597544),
+         (0.7399030018010546, -0.537937878381705, -0.9986263258242984), 1.651621717495756,
+         (3.13286, 2.178801, 1.810168),
+         [(1.418286, -1.430084, -2.250681, "stable"), (-1.416687, 1.429402, 2.251372, "stable"),
+          (0.665105, 2.154725, 2.576548, "unstable")]),
+    ], ids=["straight", "folded", "circle-end-0", "circle-end-pi"])
+    def test_minimum_in_the_last_cell_of_an_elbow_is_kept(
+        self, links, springs, shape, delta, expected, others
+    ):
+        """A stable point in the last grid cell of an elbow is kept: where
+        the two elbows meet with different energies (q3 = pi on one, -pi on
+        the other), where they never meet (an arc end off the closure
+        boundary, here on a full circle of first-joint angles), and by a
+        straight last elbow, where the first-joint chart cannot balance
+        torques to 1e-9. The other points of each case stay."""
+        eqs = three_link_equilibria(ChainModel(links, springs), relaxed(shape), delta)
+        for *angles, stability in [(*expected, "stable")] + others:
+            gaps = [np.max(np.abs(e.configuration.angles - angles)) for e in eqs]
+            match = eqs[int(np.argmin(gaps))]
+            assert min(gaps) <= 1e-6
+            assert match.stability == stability
+            assert match.residual_norm <= 1e-11
+
+    def test_every_minimum_a_descent_reaches_is_enumerated(self):
+        """Completeness against an independent method: stacked reduced
+        descents (_minimize_stack) from 24 random first-joint angles on each
+        elbow. Every stable minimum they reach with its first-joint angle in
+        a feasible arc is among the enumerated points, labelled stable. The
+        chains are drawn at random, plus the full circle whose minimum lies
+        a grid cell from the window end at pi."""
+        rng = np.random.default_rng(11)
+        cases = []
+        for _ in range(40):
+            lengths, springs = rng.uniform(0.5, 1.5, 3), rng.uniform(0.5, 2.0, 3)
+            if rng.uniform() < 0.3:
+                springs[0] = 0.0
+            chain = ChainModel(lengths, springs)
+            cfg = self.on_axis(chain, rng.uniform(-2.5, 2.5, 3))
+            reach = forward_kinematics(chain, cfg.angles).x + chain.total_length
+            cases.append((chain, cfg, reach * np.array([0.25, 0.5, 0.75])))
+        chain = ChainModel([0.732271069176221, 0.8425381413233357, 0.926844601908827],
+                           [0.5318853421797552, 1.4062586296061297, 1.6551840425597544])
+        cfg = relaxed((0.7399030018010546, -0.537937878381705, -0.9986263258242984))
+        cases.append((chain, cfg, [1.651621717495756]))
+        branch = np.repeat([1, -1], 24)
+        for chain, cfg, deltas in cases:
+            x0 = forward_kinematics(chain, cfg.angles).x
+            for delta in deltas:
+                try:
+                    eqs = three_link_equilibria(chain, cfg, delta)
+                except UnreachableTargetError:
+                    continue
+                arcs = _feasible_arcs(tuple(chain.link_lengths), x0 - delta, 0.0)
+                lead = rng.uniform(-math.pi, math.pi, (48, 1))
+                tx = np.full(48, x0 - delta)
+                for solve in _minimize_stack(chain, cfg.reference_angles, lead, tx, branch):
+                    if (solve is None or classify_stability(solve.hessian)[0] != "stable"
+                            or not any(lo <= solve.full[0] <= hi for lo, hi in arcs)):
+                        continue
+                    gaps = [np.max(np.abs(e.configuration.angles - solve.full)) for e in eqs]
+                    assert min(gaps, default=math.inf) <= 1e-7, (delta, solve.full)
+                    assert eqs[int(np.argmin(gaps))].stability == "stable"
+
     def test_straight_chain_unloaded_has_single_equilibrium(self):
         chain = ChainModel([1.0, 1.0, 1.0], [0.0, 1.0, 1.0])
         eqs = three_link_equilibria(chain, relaxed((0.0, 0.0, 0.0)), 0.0)
@@ -683,7 +775,7 @@ class TestNewtonMinimize:
             return derivatives(stiffness, reference, full, jac)
 
         monkeypatch.setattr(sweep_module, "_derivatives", recorded)
-        assert _newton_minimize(chain, tuple(ref), ref[:2], tx, -1) is None
+        assert descend(chain, tuple(ref), ref[:2], tx, -1) is None
         assert sines[-1] < 0.05 <= min(sines[:-1])
         assert all(b < a for a, b in zip(sines, sines[1:]))
 
@@ -700,7 +792,7 @@ class TestNewtonMinimize:
         hessian = sweep_module._solve_at(chain, np.asarray(ref), start).hessian
         assert np.linalg.eigvalsh(hessian)[0] < 0.0
 
-        solve = _newton_minimize(chain, ref, lead, 1.0757, +1)
+        solve = descend(chain, ref, lead, 1.0757, +1)
         assert solve is not None
         assert classify_stability(solve.hessian) == ("stable", False)
         assert np.linalg.norm(solve.residual) < 1e-12
@@ -732,7 +824,7 @@ def test_stacked_descents_match_one_row_descents(case):
     """Rows descended together end where each ends alone."""
     chain, reference, lead, tx, branch = case
     together = _minimize_stack(chain, reference, lead, tx, branch)
-    alone = [_newton_minimize(chain, reference, *row) for row in zip(lead, tx, branch)]
+    alone = [descend(chain, reference, *row) for row in zip(lead, tx, branch)]
     assert [s is None for s in together] == [s is None for s in alone]
     for a, b in zip(together, alone):
         if a is not None:
