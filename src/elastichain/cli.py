@@ -6,35 +6,58 @@ chain), three-link (exhaustive equilibria of a three-link chain), and
 twolink (closed-form curve of the symmetric two-link mechanism). Output is
 deterministic for a fixed config file and seed; no timestamps, no
 environment-dependent text.
+
+Each subcommand imports only the modules it runs, so a call does not pay
+for the others: twolink needs the standard library only, critical-force
+never loads the sweep, and three-link and sweep never load the eigen
+solver. The three analysis entry points below load on first use as module
+attributes (PEP 562); the handlers look them up there on every call, so a
+caller that rebinds one (a profiler, a test double) sees its calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .buckling import buckling_modes
-from .chain import ChainModel, Configuration, forward_kinematics
 from .errors import (
     DegenerateModelError,
     ElasticChainError,
     SingularSampleError,
     UnreachableTargetError,
 )
-from .sweep import (
-    SweepRequest,
-    TwoLinkMechanism,
-    _snap_to_axis,
-    sweep_force_deflection,
-    three_link_equilibria,
-    twolink_critical,
-    twolink_curve,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .chain import ChainModel
+
+# entry point -> its home module, imported on first use
+_ENTRY_POINTS = {
+    "buckling_modes": "buckling",
+    "sweep_force_deflection": "sweep",
+    "three_link_equilibria": "sweep",
+}
+
+
+def __getattr__(name):
+    if name not in _ENTRY_POINTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    home = importlib.import_module(f".{_ENTRY_POINTS[name]}", __package__)
+    value = globals()[name] = getattr(home, name)
+    return value
+
+
+def _entry(name):
+    """The module attribute `name`, as currently bound, loaded on first use."""
+    return getattr(sys.modules[__name__], name)
+
 
 _BRANCH_TOKENS = {"+": "positive", "-": "negative", "both": "both"}
 
@@ -65,6 +88,10 @@ def load_config(path: str) -> AnalysisConfig:
     delta_max, steps, seeds, drop_ratio. Unknown keys are rejected so a
     typo cannot silently fall back to a default.
     """
+    import numpy as np
+
+    from .chain import ChainModel
+
     with open(path, encoding="utf-8") as handle:
         raw = json.load(handle)
     if not isinstance(raw, dict):
@@ -121,7 +148,7 @@ def load_config(path: str) -> AnalysisConfig:
 def _format_value(value, fmt: str) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):
         return str(int(value))
     value = float(value)
     return repr(value) if fmt == "csv" else format(value, ".6g")
@@ -137,6 +164,8 @@ def _emit(lines, out_path):
 
 
 def _cmd_critical_force(args) -> int:
+    import numpy as np
+
     config = load_config(args.config)
     if not np.allclose(config.initial_angles, 0.0, atol=1e-12):
         print(
@@ -147,7 +176,7 @@ def _cmd_critical_force(args) -> int:
         )
         return 2
 
-    modes = buckling_modes(config.chain)
+    modes = _entry("buckling_modes")(config.chain)
     fmt = args.format
     lines = [f"critical_force,{_format_value(modes[0].axial_force, fmt)}"]
     if args.modes:
@@ -175,6 +204,9 @@ def _cmd_critical_force(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .chain import Configuration
+    from .sweep import SweepRequest
+
     config = load_config(args.config)
     if config.sweep is None:
         print("error: the config file has no sweep block", file=sys.stderr)
@@ -190,7 +222,7 @@ def _cmd_sweep(args) -> int:
         seeds=config.sweep.seeds,
     )
     drop_ratio = args.drop_ratio if args.drop_ratio is not None else config.sweep.drop_ratio
-    result = sweep_force_deflection(request, seed=args.seed, drop_ratio=drop_ratio)
+    result = _entry("sweep_force_deflection")(request, seed=args.seed, drop_ratio=drop_ratio)
 
     fmt = args.format
     lines = ["delta_x,fx,fy,energy,stability,quasi_buckling"]
@@ -236,6 +268,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_three_link(args) -> int:
+    from .chain import Configuration, forward_kinematics
+    from .sweep import _snap_to_axis
+
     config = load_config(args.config)
     if config.chain.n != 3:
         print(
@@ -257,6 +292,7 @@ def _cmd_three_link(args) -> int:
 
     fmt = args.format
     lines = ["delta_x,q1,q2,q3,fx,fy,energy,stability"]
+    three_link_equilibria = _entry("three_link_equilibria")
     for delta in deltas:
         for eq in three_link_equilibria(config.chain, initial, delta):
             q = eq.configuration.angles
@@ -278,9 +314,29 @@ def _cmd_three_link(args) -> int:
     return 0
 
 
+def _linspace(stop: float, samples: int) -> list[float]:
+    """np.linspace(0.0, stop, samples), bit for bit, in plain floats: numpy
+    divides by samples - 1 before scaling where the step underflows to 0,
+    adds the start 0.0 (turning -0.0 into 0.0) and ends on stop itself."""
+    div = samples - 1
+    if div == 0:
+        return [0.0 * stop + 0.0]
+    step = stop / div
+    if step == 0.0:
+        grid = [i / div * stop + 0.0 for i in range(div)]
+    else:
+        grid = [i * step + 0.0 for i in range(div)]
+    return grid + [stop]
+
+
 def _cmd_twolink(args) -> int:
+    from .twolink import TwoLinkMechanism, twolink_critical, twolink_curve
+
     if args.samples < 1:
         print("error: --samples must be at least 1", file=sys.stderr)
+        return 2
+    if not math.isfinite(args.qmax):
+        print("error: --qmax must be finite", file=sys.stderr)
         return 2
     mech = TwoLinkMechanism(
         half_angle_init=args.alpha, spring_k=args.k, link_length=args.L
@@ -290,7 +346,7 @@ def _cmd_twolink(args) -> int:
     if mech.half_angle_init == 0.0:
         lines.append(f"critical_force,{_format_value(twolink_critical(mech), fmt)}")
     lines.append("q,delta,force,potential")
-    for q in np.linspace(0.0, args.qmax, args.samples):
+    for q in _linspace(args.qmax, args.samples):
         try:
             ((delta, force, potential),) = twolink_curve(mech, [q])
         except SingularSampleError as exc:
@@ -299,7 +355,7 @@ def _cmd_twolink(args) -> int:
         lines.append(
             ",".join(
                 [
-                    _format_value(float(q), fmt),
+                    _format_value(q, fmt),
                     _format_value(delta, fmt),
                     _format_value(force, fmt),
                     _format_value(potential, fmt),

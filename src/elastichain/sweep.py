@@ -11,6 +11,11 @@ closed onto the end-point, finds the shape the chain snaps to; minima of
 that reduced energy are stable, maxima and saddles unstable. Its gradient
 and Hessian are exact, from suffix sums of the forward kinematics, and it
 runs over a stack of starts at once, as the random restarts of a sweep do.
+
+three_link_equilibria enumerates every equilibrium of a three-link chain at
+one deflection: a stacked grid scan over the first-joint angle, whose
+closures also give the ends of the cells it refines. The closed-form
+two-link mechanism lives in the numpy-free elastichain.twolink.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .chain import (
     close_chain,
     forward_kinematics,
 )
-from .errors import NotApplicableError, SingularSampleError, UnreachableTargetError
+from .errors import UnreachableTargetError
 from .statics import EquilibriumPoint, PlanarForce
 
 # Eigenvalues of the reduced Hessian within this fraction of its largest
@@ -74,77 +79,6 @@ CHART_BRACKET = 1e-6
 BOUNDARY_READ_IN = 1e-7
 # Configurations closer than this (max angle gap, rad) count as duplicates.
 DEDUPE_TOLERANCE = 1e-6
-
-
-@dataclass(frozen=True)
-class TwoLinkMechanism:
-    """Symmetric two-link mechanism with closed-form force and energy.
-
-    half_angle_init is the initial half-angle of the non-straight shape,
-    spring_k the stiffness of each rotational spring, link_length the
-    length of each of the two links.
-    """
-
-    half_angle_init: float
-    spring_k: float
-    link_length: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.half_angle_init)
-                and math.isfinite(self.spring_k)
-                and math.isfinite(self.link_length)):
-            raise ValueError("mechanism parameters must be finite")
-        if self.spring_k <= 0.0:
-            raise ValueError("spring stiffness must be positive")
-        if self.link_length <= 0.0:
-            raise ValueError("link length must be positive")
-
-
-def twolink_curve(mech: TwoLinkMechanism, q_samples) -> list[tuple[float, float, float]]:
-    """Closed-form force-deflection curve of the two-link mechanism.
-
-    For each configuration angle q the axial deflection, the equilibrium
-    force, and the potential energy at that force are returned.
-
-    Returns:
-        List of (delta, force, potential) triples, one per sample.
-
-    Raises:
-        SingularSampleError: sin(alpha + q) vanishes at some sample, where
-            the force expression is undefined.
-    """
-    alpha = mech.half_angle_init
-    k = mech.spring_k
-    length = mech.link_length
-    samples = np.atleast_1d(np.asarray(q_samples, dtype=float))
-    curve = []
-    for index, q in enumerate(samples):
-        s = math.sin(alpha + q)
-        if abs(s) < 1e-12:
-            raise SingularSampleError(
-                f"sin(alpha + q) vanishes at sample {index} (q = {q:.6g})"
-            )
-        force = 2.0 * k * q / (length * s)
-        delta = 2.0 * length * (math.cos(alpha) - math.cos(alpha + q))
-        potential = 2.0 * k * q * q - force * delta
-        curve.append((delta, force, potential))
-    return curve
-
-
-def twolink_critical(mech: TwoLinkMechanism) -> float:
-    """Critical compressive force 2k/L of the straight two-link mechanism.
-
-    Raises:
-        NotApplicableError: the mechanism is not straight; a non-straight
-            shape deflects from the first newton of load and has no
-            bifurcation.
-    """
-    if abs(mech.half_angle_init) > 1e-12:
-        raise NotApplicableError(
-            "critical force is defined only for the straight mechanism "
-            f"(half angle = {mech.half_angle_init:.6g})"
-        )
-    return 2.0 * mech.spring_k / mech.link_length
 
 
 def classify_stability(hessian) -> tuple[str, bool]:
@@ -848,15 +782,33 @@ def _newton_bisection(at, solve, other):
     return solve
 
 
-def _interval_equilibria(chain, reference, tx, branch, ends):
+def _grid_solves(chain, reference, energy, full, rows):
+    """The _Solves at the grid closures `rows` of _closed_energies (energy,
+    full), from one stacked _derivatives call: a dict from row to its _Solve,
+    or to None where the row does not close or lies on the closure boundary
+    (|sin q3| <= SINGULAR_SINE)."""
+    solves = dict.fromkeys(rows.tolist())
+    rows = rows[np.isfinite(energy[rows]) & (np.abs(np.sin(full[rows, -1])) > SINGULAR_SINE)]
+    if rows.size:
+        closed = full[rows]
+        jac = _jacobian_raw(chain.link_lengths, closed)
+        force, gradient, hessian, tau = _derivatives(chain.joint_stiffness, reference, closed, jac)
+        residual = (jac.swapaxes(1, 2) @ force[..., None])[..., 0] + tau
+        for i, row in enumerate(rows.tolist()):
+            solves[row] = _Solve(float(energy[row]), closed[i], jac[i], force[i], gradient[i],
+                                 hessian[i], residual[i])
+    return solves
+
+
+def _interval_equilibria(chain, reference, tx, branch, ends, end_solves):
     """Equilibria of one elbow branch with the first-joint angle in the grid
-    cell ends = (lo, hi).
+    cell ends = (lo, hi), whose _Solves the grid scan gives as end_solves.
 
     An end on the closure boundary (|sin q3| <= SINGULAR_SINE, where g is
-    infinite) is read BOUNDARY_READ_IN of the cell inside it. g must change
-    sign over the cell, and the search starts from the end of smaller |g|,
-    unless q2 wraps by 2 pi within the cell, where the energy jumps and
-    either end may start it. _newton_bisection brackets the zero in the
+    infinite; its end_solve is None) is read BOUNDARY_READ_IN of the cell
+    inside it. g must change sign over the cell, and the search starts from
+    the end of smaller |g|, unless q2 wraps by 2 pi within the cell, where
+    the energy jumps and either end may start it. _newton_bisection brackets the zero in the
     first-joint chart and _correct, the bordered Newton, converges to it; a
     point is kept exactly when that converged inside the cell, on this
     elbow, with q2 within [-pi, pi] and off the boundary. Kinks of the
@@ -875,8 +827,8 @@ def _interval_equilibria(chain, reference, tx, branch, ends):
         return _solve_at(chain, reference, np.array([phi, q_a, q_b]))
 
     lo, hi = ends
-    start, stop = (at(end) or at(end + BOUNDARY_READ_IN * (inner - end))
-                   for end, inner in ((lo, hi), (hi, lo)))
+    start, stop = (solve or at(end + BOUNDARY_READ_IN * (inner - end))
+                   for solve, end, inner in zip(end_solves, ends, (hi, lo)))
     if start is None or stop is None:
         return []
     starts = [(start, stop), (stop, start)]
@@ -904,7 +856,8 @@ def three_link_equilibria(
     With the end-point pinned, the first-joint angle parameterizes each
     elbow branch over the feasible arcs. A grid scan of each elbow on its
     own brackets the turns of its strain energy; the grid cells next to them
-    and at the ends of each arc are refined (_interval_equilibria), and a
+    and at the ends of each arc are refined (_interval_equilibria), starting
+    from the scan's own closures at their ends (_grid_solves), and a
     point is kept exactly when the bordered Newton converges to it inside
     its cell. Minima are stable, maxima unstable; kinks of the wrapped
     energy or of the closure boundary are not equilibria and fail that test.
@@ -964,13 +917,16 @@ def three_link_equilibria(
         # energy and the cells at the ends of the arc
         phis = np.linspace(lo, hi, THREE_LINK_GRID + 1)
         for branch in (1, -1):
-            energy, _ = _closed_energies(lengths, stiffness, reference, phis[:, None], tx, 0.0,
-                                         branch)
+            energy, full = _closed_energies(lengths, stiffness, reference, phis[:, None], tx,
+                                            0.0, branch)
             rise = energy[1:] > energy[:-1]
             turns = np.flatnonzero(rise[1:] != rise[:-1])
-            for j in np.unique(np.concatenate(([0, THREE_LINK_GRID - 1], turns, turns + 1))):
+            cells = np.unique(np.concatenate(([0, THREE_LINK_GRID - 1], turns, turns + 1)))
+            solves = _grid_solves(chain, reference, energy, full, np.union1d(cells, cells + 1))
+            for j in cells.tolist():
                 ends = (float(phis[j]), float(phis[j + 1]))
-                found += _interval_equilibria(chain, reference, tx, branch, ends)
+                found += _interval_equilibria(chain, reference, tx, branch, ends,
+                                              (solves[j], solves[j + 1]))
 
     found.sort(key=lambda solve: solve.energy)
     unique = []

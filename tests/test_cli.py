@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -7,9 +8,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import elastichain
-from elastichain.cli import load_config, main
+from elastichain.cli import _linspace, load_config, main
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -297,6 +300,16 @@ class TestTwolinkCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("qmax", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_qmax(self, qmax, capsys):
+        code = main(
+            ["twolink", "--alpha", "0", "--k", "1", "--L", "1", f"--qmax={qmax}"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--qmax" in captured.err
+
     def test_text_format_rounds_to_six_digits(self, capsys):
         code = main(
             ["twolink", "--alpha", "0", "--k", "1", "--L", "1",
@@ -344,3 +357,159 @@ def test_seedless_sweep_leaves_numpy_random_out():
     if out[0] == "True":
         pytest.skip("this numpy imports numpy.random with itself")
     assert out[1] == "False"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False), st.integers(1, 500))
+@example(0.0, 1)
+@example(-0.0, 1)
+@example(-0.0, 4)
+@example(-1.0, 1)
+@example(5e-324, 3)
+@example(-5e-324, 500)
+@example(2.2250738585072014e-308, 7)
+@example(1.7976931348623157e308, 500)
+def test_twolink_grid_is_numpy_linspace(qmax, samples):
+    """The twolink sample grid is np.linspace's, bit for bit, so its CSV is too."""
+    grid = np.array(_linspace(qmax, samples), dtype=float)
+    # numpy also scales the last index before overwriting it with qmax, which
+    # overflows near the largest float
+    with np.errstate(over="ignore"):
+        expected = np.linspace(0.0, qmax, samples)
+    assert grid.tobytes() == expected.tobytes()
+
+
+# home module -> the public names it defines, as the package exported them
+# before it loaded its modules on first use
+PUBLIC = {
+    "buckling": [
+        "BucklingMode", "LinearizedSystem", "buckling_modes", "build_reach_matrices",
+        "build_system", "classify_shape", "critical_force", "energy_factor",
+        "mode_equilibrium_snapshot",
+    ],
+    "chain": [
+        "ChainModel", "Configuration", "DeflectionState", "PlanarPoint",
+        "check_configuration", "close_chain", "forward_kinematics", "ik_two_link",
+        "jacobian",
+    ],
+    "errors": [
+        "DegenerateModeError", "DegenerateModelError", "DimensionMismatchError",
+        "ElasticChainError", "NotApplicableError", "SingularConfigurationError",
+        "SingularSampleError", "UnreachableTargetError",
+    ],
+    "statics": [
+        "EquilibriumPoint", "PlanarForce", "equilibrium_residual", "joint_torques",
+        "potential_energy", "recover_force", "strain_energy",
+    ],
+    "sweep": [
+        "SweepAdvisory", "SweepRequest", "SweepResult", "SweepStepRecord",
+        "SweepTruncation", "classify_stability", "detect_quasi_buckling",
+        "reduced_energy", "sweep_force_deflection", "three_link_equilibria",
+    ],
+    "twolink": ["TwoLinkMechanism", "twolink_critical", "twolink_curve"],
+}
+
+
+class TestNamespace:
+    def test_all_lists_the_public_names(self):
+        names = sorted(name for names in PUBLIC.values() for name in names)
+        assert len(names) == 46
+        assert sorted(elastichain.__all__) == names
+
+    def test_each_name_is_its_home_modules_object(self):
+        for module, names in PUBLIC.items():
+            home = importlib.import_module(f"elastichain.{module}")
+            for name in names:
+                assert getattr(elastichain, name) is getattr(home, name), name
+        assert elastichain.three_link_equilibria is elastichain.sweep.three_link_equilibria
+        assert elastichain.TwoLinkMechanism is elastichain.twolink.TwoLinkMechanism
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from elastichain import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(elastichain.__all__)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            elastichain.no_such_name  # noqa: B018
+        assert not hasattr(elastichain, "np")
+
+    def test_dir_lists_names_and_submodules(self):
+        listed = dir(elastichain)
+        assert set(elastichain.__all__) <= set(listed)
+        assert {"sweep", "twolink", "cli"} <= set(listed)
+
+    def test_submodules_resolve_after_a_bare_import(self):
+        check = (
+            "import elastichain\n"
+            "for name in ('sweep', 'chain', 'buckling', 'statics', 'errors', 'cli', 'twolink'):\n"
+            "    assert getattr(elastichain, name).__name__ == 'elastichain.' + name, name\n"
+        )
+        subprocess.run([sys.executable, "-c", check], env=child_env(), check=True)
+
+
+def child_env():
+    src = pathlib.Path(elastichain.__file__).resolve().parents[1]
+    return {**os.environ, "PYTHONPATH": str(src)}
+
+
+# Runs `python -m elastichain.cli ARGV` in this interpreter and prints the
+# names in sys.modules afterwards to stderr.
+RUN_CLI = (
+    "import runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('elastichain.cli', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as exc:\n"
+    "    assert not exc.code, exc.code\n"
+    "print(' '.join(sorted(sys.modules)), file=sys.stderr)\n"
+)
+
+
+def modules_after(*argv):
+    """The modules a fresh CLI process has loaded once `argv` has run."""
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_CLI, *argv], env=child_env(),
+        check=True, capture_output=True, text=True,
+    )
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+class TestLoadsOnlyWhatRuns:
+    def test_bare_import_loads_no_submodule_and_no_numpy(self):
+        check = (
+            "import sys, elastichain\n"
+            "print(' '.join(sorted(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", check], env=child_env(),
+            check=True, capture_output=True, text=True,
+        )
+        loaded = set(proc.stdout.split())
+        assert "numpy" not in loaded
+        assert not {name for name in loaded if name.startswith("elastichain.")}
+
+    def test_twolink_runs_without_numpy(self):
+        loaded = modules_after(
+            "twolink", "--alpha", "0.3", "--k", "1", "--L", "1", "--qmax", "1", "--samples", "5"
+        )
+        assert "elastichain.twolink" in loaded
+        assert "numpy" not in loaded
+
+    def test_critical_force_leaves_the_sweep_out(self, tmp_path):
+        loaded = modules_after(
+            "critical-force", "--config", write_config(tmp_path, STRAIGHT4), "--modes"
+        )
+        assert "elastichain.buckling" in loaded
+        assert "elastichain.sweep" not in loaded
+
+    def test_three_link_leaves_buckling_out(self, tmp_path):
+        loaded = modules_after(
+            "three-link", "--config", write_config(tmp_path, BENT3), "--deltas", "0.1,0.3"
+        )
+        assert "elastichain.sweep" in loaded
+        assert "elastichain.buckling" not in loaded
+
+    def test_sweep_leaves_buckling_out(self, tmp_path):
+        loaded = modules_after("sweep", "--config", write_config(tmp_path, SWEEP3))
+        assert "elastichain.sweep" in loaded
+        assert "elastichain.buckling" not in loaded
