@@ -130,8 +130,8 @@ def load_config(path: str) -> AnalysisConfig:
                 raise ValueError(f"sweep block is missing required key {key!r}")
         sweep_settings = SweepSettings(
             delta_max=float(block["delta_max"]),
-            steps=int(block["steps"]),
-            seeds=int(block.get("seeds", 8)),
+            steps=block["steps"],
+            seeds=block.get("seeds", 8),
             drop_ratio=float(block.get("drop_ratio", 0.1)),
         )
         if not 0.0 < sweep_settings.drop_ratio < 1.0:

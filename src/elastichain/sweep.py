@@ -13,15 +13,17 @@ and Hessian are exact, from suffix sums of the forward kinematics, and it
 runs over a stack of starts at once, as the random restarts of a sweep do.
 
 three_link_equilibria enumerates every equilibrium of a three-link chain at
-one deflection: a stacked grid scan over the first-joint angle, whose
-closures also give the ends of the cells it refines. The closed-form
-two-link mechanism lives in the numpy-free elastichain.twolink.
+one deflection: one stacked grid scan over the first-joint angle, then one
+stacked rescan of the cells it marks for sign changes of the reduced
+gradient, from whose brackets the bordered Newton converges. The
+closed-form two-link mechanism lives in the numpy-free elastichain.twolink.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +35,6 @@ from .chain import (
     PlanarPoint,
     _close_chains,
     _jacobian_raw,
-    _two_link,
     check_configuration,
     close_chain,
     forward_kinematics,
@@ -72,9 +73,11 @@ STACK_ROWS = 1024
 # bordered continuation, not a retry in the reduced chart.
 PATH_HALVINGS = 2
 # Grid cells per elbow over a feasible arc in three_link_equilibria; its
-# refinement stops the chart stage at steps below CHART_BRACKET (rad) and reads
-# a cell's end on the closure boundary BOUNDARY_READ_IN of the cell inside it.
+# rescan splits brackets into CHART_SECTIONS sub-cells at a time until they are
+# below CHART_BRACKET (rad), and reads a cell's end on the closure boundary
+# BOUNDARY_READ_IN of the cell inside it.
 THREE_LINK_GRID = 600
+CHART_SECTIONS = 16
 CHART_BRACKET = 1e-6
 BOUNDARY_READ_IN = 1e-7
 # Configurations closer than this (max angle gap, rad) count as duplicates.
@@ -139,6 +142,7 @@ class SweepRequest:
     reference angles); delta_max the largest axial displacement; steps the
     number of samples including delta_x = 0; branch_policy one of "both",
     "positive", "negative"; seeds the number of random restarts per step.
+    steps and seeds must be integers (int or a numpy integer, not bool).
     """
 
     chain: ChainModel
@@ -157,14 +161,15 @@ class SweepRequest:
                 f"branch_policy must be both/positive/negative, "
                 f"got {self.branch_policy!r}"
             )
-        steps = int(self.steps)
-        if steps < 2:
+        for name in ("steps", "seeds"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be a whole number, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.steps < 2:
             raise ValueError("a sweep needs at least two steps")
-        object.__setattr__(self, "steps", steps)
-        seeds = int(self.seeds)
-        if seeds < 0:
+        if self.seeds < 0:
             raise ValueError("seeds must be nonnegative")
-        object.__setattr__(self, "seeds", seeds)
         delta_max = float(self.delta_max)
         if not math.isfinite(delta_max) or delta_max <= 0.0:
             raise ValueError("delta_max must be positive")
@@ -750,102 +755,20 @@ def _feasible_arcs(lengths, tx, ty):
     return [(psi + inner, psi + outer), (psi - outer, psi - inner)]
 
 
-def _newton_bisection(at, solve, other):
-    """Bracket a zero of the reduced gradient g(phi) between the angle of
-    `solve` and `other`.
-
-    `at` maps an angle to its _Solve (None on the closure boundary); g at
-    `other` is taken to have the sign opposite to g at the start. Newton
-    steps are replaced by bisection of that bracket whenever they would
-    leave it or shrink too slowly. Returns the iterate once the next step
-    would be below CHART_BRACKET, for _correct to finish, or None once an
-    iterate reaches the boundary.
-    """
-    x = solve.full[0]
-    step = abs(other - x)
-    for _ in range(NEWTON_ITERATIONS):
-        g, h = solve.gradient[0], solve.hessian[0, 0]
-        newton = x - g / h if h else math.inf
-        if (newton - x) * (newton - other) <= 0.0 and abs(newton - x) < 0.5 * step:
-            trial = newton
-        else:
-            trial = 0.5 * (x + other)
-        step = abs(trial - x)
-        if step <= CHART_BRACKET:
-            break
-        trial_solve = at(trial)
-        if trial_solve is None:
-            return None
-        if trial_solve.gradient[0] * g < 0.0:
-            other = x
-        x, solve = trial, trial_solve
-    return solve
-
-
-def _grid_solves(chain, reference, energy, full, rows):
-    """The _Solves at the grid closures `rows` of _closed_energies (energy,
-    full), from one stacked _derivatives call: a dict from row to its _Solve,
-    or to None where the row does not close or lies on the closure boundary
-    (|sin q3| <= SINGULAR_SINE)."""
-    solves = dict.fromkeys(rows.tolist())
-    rows = rows[np.isfinite(energy[rows]) & (np.abs(np.sin(full[rows, -1])) > SINGULAR_SINE)]
-    if rows.size:
-        closed = full[rows]
-        jac = _jacobian_raw(chain.link_lengths, closed)
-        force, gradient, hessian, tau = _derivatives(chain.joint_stiffness, reference, closed, jac)
-        residual = (jac.swapaxes(1, 2) @ force[..., None])[..., 0] + tau
-        for i, row in enumerate(rows.tolist()):
-            solves[row] = _Solve(float(energy[row]), closed[i], jac[i], force[i], gradient[i],
-                                 hessian[i], residual[i])
-    return solves
-
-
-def _interval_equilibria(chain, reference, tx, branch, ends, end_solves):
-    """Equilibria of one elbow branch with the first-joint angle in the grid
-    cell ends = (lo, hi), whose _Solves the grid scan gives as end_solves.
-
-    An end on the closure boundary (|sin q3| <= SINGULAR_SINE, where g is
-    infinite; its end_solve is None) is read BOUNDARY_READ_IN of the cell
-    inside it. g must change sign over the cell, and the search starts from
-    the end of smaller |g|, unless q2 wraps by 2 pi within the cell, where
-    the energy jumps and either end may start it. _newton_bisection brackets the zero in the
-    first-joint chart and _correct, the bordered Newton, converges to it; a
-    point is kept exactly when that converged inside the cell, on this
-    elbow, with q2 within [-pi, pi] and off the boundary. Kinks of the
-    wrapped energy and of the boundary fail that test.
-    """
-    l_1, l_a, l_b = (float(v) for v in chain.link_lengths)
-
-    def at(phi):
-        # the target seen from the wrist of link 1; 0.0 - y, not -y, so that
-        # y = 0 gives atan2(+0.0, dx) = pi as in _close_chains, not -pi
-        q_a, q_b, feasible = _two_link(
-            l_a, l_b, tx - l_1 * math.cos(phi), 0.0 - l_1 * math.sin(phi), phi, branch
-        )
-        if not feasible or abs(math.sin(q_b)) <= SINGULAR_SINE:
-            return None
-        return _solve_at(chain, reference, np.array([phi, q_a, q_b]))
-
-    lo, hi = ends
-    start, stop = (solve or at(end + BOUNDARY_READ_IN * (inner - end))
-                   for solve, end, inner in zip(end_solves, ends, (hi, lo)))
-    if start is None or stop is None:
-        return []
-    starts = [(start, stop), (stop, start)]
-    if abs(start.full[1] - stop.full[1]) < math.pi:
-        if start.gradient[0] * stop.gradient[0] > 0.0:
-            return []
-        starts = [min(starts, key=lambda pair: abs(pair[0].gradient[0]))]
-    found = []
-    for solve, other in starts:
-        solve = _newton_bisection(at, solve, other.full[0])
-        if solve is None:
-            continue
-        full, jac, _, _ = _correct(chain, reference, solve.full, solve.force, tx)
-        if (full is not None and lo <= full[0] <= hi and abs(full[1]) <= math.pi
-                and branch * math.sin(full[2]) > SINGULAR_SINE):
-            found.append(_solve_at(chain, reference, full, jac))
-    return found
+def _chart(lengths, stiffness, reference, phi, tx, branch, anchor):
+    """The first-joint chart at angles phi (m,) on elbows branch (m,): the
+    closures, with q2 moved by a multiple of 2 pi to within pi of anchor
+    (m,), their chart forces and reduced gradients g; NaN g and zero force
+    where a row does not close or lies on the closure boundary (|sin q3| <=
+    SINGULAR_SINE)."""
+    full, feasible = _close_chains(lengths, phi[:, None], tx, 0.0, branch)
+    full[:, 1] += math.tau * np.rint((anchor - full[:, 1]) / math.tau)
+    ok = feasible & (np.abs(np.sin(full[:, 2])) > SINGULAR_SINE)
+    force, gradient = np.zeros((phi.size, 2)), np.full(phi.size, np.nan)
+    closed = full[ok]
+    force[ok], g, _, _ = _derivatives(stiffness, reference, closed, _jacobian_raw(lengths, closed))
+    gradient[ok] = g[:, 0]
+    return full, force, gradient
 
 
 def three_link_equilibria(
@@ -854,14 +777,21 @@ def three_link_equilibria(
     """All static equilibria of a three-link chain at one axial deflection.
 
     With the end-point pinned, the first-joint angle parameterizes each
-    elbow branch over the feasible arcs. A grid scan of each elbow on its
-    own brackets the turns of its strain energy; the grid cells next to them
-    and at the ends of each arc are refined (_interval_equilibria), starting
-    from the scan's own closures at their ends (_grid_solves), and a
-    point is kept exactly when the bordered Newton converges to it inside
-    its cell. Minima are stable, maxima unstable; kinks of the wrapped
-    energy or of the closure boundary are not equilibria and fail that test.
-    Points are returned sorted by strain energy.
+    elbow branch over the feasible arcs. One grid scan of every arc on both
+    elbows marks the cells next to a turn of an elbow's strain energy, the
+    cells at the ends of each arc and the cells where q2 wraps by 2 pi. All
+    marked cells are rescanned together, CHART_SECTIONS sub-cells at a
+    time, until each bracket is below CHART_BRACKET. q2 is held 2
+    pi-continuous from a cell's left end, and from its right end in a second
+    rescan of a wrap cell, so the energy has no jump in a scan; a bracket
+    narrows to its sub-cell nearest that end over which the reduced
+    gradient changes sign. The
+    bordered Newton (_correct) starts from each bracket's midpoint, and a
+    point is kept exactly when it converges inside the bracket's cell, on
+    its elbow, with q2 within [-pi, pi] and off the closure boundary. Minima
+    are stable, maxima unstable; kinks of the closure boundary are not
+    equilibria and fail that test. Points are returned sorted by strain
+    energy.
 
     Raises:
         UnreachableTargetError: no first-joint angle reaches the deflected
@@ -911,22 +841,59 @@ def three_link_equilibria(
                         energy, full, _jacobian_raw(chain.link_lengths, full), np.zeros(2),
                         np.zeros(0), np.zeros((0, 0)), tau,
                     ))
-            continue
 
-        # each elbow on its own: the cells next to each turn of its grid
-        # energy and the cells at the ends of the arc
-        phis = np.linspace(lo, hi, THREE_LINK_GRID + 1)
-        for branch in (1, -1):
-            energy, full = _closed_energies(lengths, stiffness, reference, phis[:, None], tx,
-                                            0.0, branch)
-            rise = energy[1:] > energy[:-1]
-            turns = np.flatnonzero(rise[1:] != rise[:-1])
-            cells = np.unique(np.concatenate(([0, THREE_LINK_GRID - 1], turns, turns + 1)))
-            solves = _grid_solves(chain, reference, energy, full, np.union1d(cells, cells + 1))
-            for j in cells.tolist():
-                ends = (float(phis[j]), float(phis[j + 1]))
-                found += _interval_equilibria(chain, reference, tx, branch, ends,
-                                              (solves[j], solves[j + 1]))
+    # the grid: a row of closures per elbow and arc, all from one call
+    arcs = np.array([arc for arc in arcs if arc[1] - arc[0] >= 1e-10]).reshape(-1, 2)
+    phis = np.tile(np.linspace(arcs[:, 0], arcs[:, 1], THREE_LINK_GRID + 1, axis=1), (2, 1))
+    elbows = np.repeat([1, -1], len(arcs))
+    energy, full = _closed_energies(lengths, stiffness, reference, phis.reshape(-1, 1), tx, 0.0,
+                                    elbows.repeat(THREE_LINK_GRID + 1))
+    energy, full = energy.reshape(phis.shape), full.reshape(*phis.shape, 3)
+    # marks: the cells next to a turn of the grid energy, at the ends of each
+    # arc, and where q2 wraps by 2 pi
+    rise = energy[:, 1:] > energy[:, :-1]
+    turns = np.pad(rise[:, 1:] != rise[:, :-1], ((0, 0), (1, 1)), constant_values=True)
+    wraps = np.abs(full[:, 1:, 1] - full[:, :-1, 1]) > math.pi
+    marked, wrapped = np.nonzero(turns[:, 1:] | turns[:, :-1] | wraps), np.nonzero(wraps)
+    row, cell = (np.concatenate(v) for v in zip(marked, wrapped))
+    cell_lo, cell_hi, elbow = phis[row, cell], phis[row, cell + 1], elbows[row]
+    # a bracket runs from the cell end that q2 is held 2 pi-continuous from:
+    # the left end of each marked cell, and again the right end of each wrap
+    # cell. An end on the closure boundary, where g is infinite, is read
+    # BOUNDARY_READ_IN of the cell inside it
+    right = np.arange(row.size) >= marked[0].size
+    anchor = full[row, cell + right, 1]
+    boundary = ~np.isfinite(energy) | (np.abs(np.sin(full[..., 2])) <= SINGULAR_SINE)
+    read_in = BOUNDARY_READ_IN * (cell_hi - cell_lo)
+    lo = cell_lo + read_in * boundary[row, cell]
+    hi = cell_hi - read_in * boundary[row, cell + 1]
+    near, far, index = np.where(right, hi, lo), np.where(right, lo, hi), np.arange(row.size)
+
+    # the rescan: each bracket narrows to its sub-cell nearest the anchor over
+    # which g changes sign, until all are below CHART_BRACKET. One bracket
+    # per scan of a cell, so that a flat energy, whose g changes sign with
+    # every rounding, cannot multiply them
+    sections = np.linspace(0.0, 1.0, CHART_SECTIONS + 1)
+    while np.any(np.abs(far - near) > CHART_BRACKET):
+        phi = near[:, None] + (far - near)[:, None] * sections
+        g = _chart(lengths, stiffness, reference, phi.ravel(), tx,
+                   elbow[index].repeat(sections.size), anchor[index].repeat(sections.size))[2]
+        g = g.reshape(phi.shape)
+        change = g[:, :-1] * g[:, 1:] <= 0.0
+        bracket = np.flatnonzero(change.any(axis=1))
+        k = change[bracket].argmax(axis=1)
+        near, far, index = phi[bracket, k], phi[bracket, k + 1], index[bracket]
+
+    # keep: _correct, the bordered Newton from each bracket's midpoint,
+    # converged inside its cell, on its elbow, with q2 within [-pi, pi] and
+    # off the boundary
+    starts = _chart(lengths, stiffness, reference, 0.5 * (near + far), tx, elbow[index],
+                    anchor[index])
+    for j, start_full, start_force in zip(index.tolist(), *starts[:2]):
+        q, jac, _, _ = _correct(chain, reference, start_full, start_force, tx)
+        if (q is not None and cell_lo[j] <= q[0] <= cell_hi[j] and abs(q[1]) <= math.pi
+                and elbow[j] * math.sin(q[2]) > SINGULAR_SINE):
+            found.append(_solve_at(chain, reference, q, jac))
 
     found.sort(key=lambda solve: solve.energy)
     unique = []

@@ -186,6 +186,18 @@ class TestSweepCommand:
         assert 0 < len(data_rows) < 10
         assert lines[-1].startswith("# truncated,")
 
+    @pytest.mark.parametrize("counts, key", [
+        ({"steps": 4.7, "seeds": 0.9}, "steps"), ({"steps": 4, "seeds": 0.9}, "seeds"),
+        ({"steps": True}, "steps"), ({"steps": "4"}, "steps"),
+    ])
+    def test_rejects_counts_that_are_not_whole_numbers(self, tmp_path, capsys, counts, key):
+        payload = {**SWEEP3, "sweep": {"delta_max": 0.8, **counts}}
+        code = main(["sweep", "--config", write_config(tmp_path, payload)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{key} must be a whole number" in captured.err
+
     def test_drop_ratio_flag(self, tmp_path, capsys):
         # a nearly-impossible threshold suppresses every marker
         config = write_config(tmp_path, SWEEP3)

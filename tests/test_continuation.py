@@ -271,7 +271,11 @@ def test_work_of_the_force_is_the_energy_gain(case):
     deltas = np.array([p.deflection.delta_x for p in result.points])
     fx = np.array([p.force.fx for p in result.points])
     last = len(deltas) - 1 - (len(deltas) - 1) % 2  # every other point ends here
-    fine = np.trapezoid(fx[: last + 1], deltas[: last + 1])
-    coarse = np.trapezoid(fx[: last + 1 : 2], deltas[: last + 1 : 2])
+
+    def trapezoid(y, x):  # np.trapezoid needs numpy >= 2.0
+        return (np.diff(x) * (y[1:] + y[:-1]) / 2.0).sum()
+
+    fine = trapezoid(fx[: last + 1], deltas[: last + 1])
+    coarse = trapezoid(fx[: last + 1 : 2], deltas[: last + 1 : 2])
     gain = result.points[last].strain_energy - result.points[0].strain_energy
     assert abs(fine - gain) <= abs(fine - coarse) + 1e-12 * max(1.0, abs(gain))

@@ -442,7 +442,23 @@ class TestThreeLinkEquilibria:
          (3.13286, 2.178801, 1.810168),
          [(1.418286, -1.430084, -2.250681, "stable"), (-1.416687, 1.429402, 2.251372, "stable"),
           (0.665105, 2.154725, 2.576548, "unstable")]),
-    ], ids=["straight", "folded", "circle-end-0", "circle-end-pi"])
+        # q2 wraps by 2 pi within the cell, unloaded
+        ((1.040022972411323, 0.5716941226712048, 0.8472257690715875),
+         (1.344707828726149, 1.9640861671064784, 1.675477470308641),
+         (0.5347377958907971, -1.150187649455342, -2.287879890406353), 0.0,
+         (1.994816, 3.139483, 0.621539),
+         [(0.534738, -1.150188, -2.28788, "stable"), (-1.253384, 1.617823, 1.594189, "stable"),
+          (-2.157033, 2.946824, -0.215357, "unstable"),
+          (0.800985, 2.327774, 2.056859, "unstable")]),
+        # q2 wraps by 2 pi within the cell, loaded
+        ((0.5654722048033689, 1.1174855964898012, 1.314485644825397),
+         (1.044737964850623, 1.1756749752535056, 0.954043957108448),
+         (-1.9137722087451734, -2.4981095755892477, -2.290365455423581), 1.4708974917178999,
+         (3.569795, 3.1378, 2.889475),
+         [(3.850541, 0.25321, -2.745311, "stable"), (0.635879, 1.622063, 2.033452, "stable"),
+          (2.891214, 3.035655, -2.976397, "unstable")]),
+    ], ids=["straight", "folded", "circle-end-0", "circle-end-pi", "wrap-unloaded",
+            "wrap-loaded"])
     def test_minimum_in_the_last_cell_of_an_elbow_is_kept(
         self, links, springs, shape, delta, expected, others
     ):
@@ -451,7 +467,9 @@ class TestThreeLinkEquilibria:
         the other), where they never meet (an arc end off the closure
         boundary, here on a full circle of first-joint angles), and by a
         straight last elbow, where the first-joint chart cannot balance
-        torques to 1e-9. The other points of each case stay."""
+        torques to 1e-9. So is a stable point in a grid cell where q2 wraps
+        by 2 pi, whose energy jumps there, so that the grid need show no
+        turn next to it. The other points of each case stay."""
         eqs = three_link_equilibria(ChainModel(links, springs), relaxed(shape), delta)
         for *angles, stability in [(*expected, "stable")] + others:
             gaps = [np.max(np.abs(e.configuration.angles - angles)) for e in eqs]
@@ -563,6 +581,21 @@ class TestSweepRequest:
         with pytest.raises(ValueError):
             SweepRequest(u_plus_chain(), relaxed(U_PLUS_REFS), 0.1, 5, seeds=-1)
 
+    @pytest.mark.parametrize("counts", [
+        {"steps": 2.9}, {"steps": 5.0}, {"steps": "5"}, {"steps": True},
+        {"seeds": 0.9}, {"seeds": True}, {"seeds": "2"},
+    ])
+    def test_rejects_counts_that_are_not_whole_numbers(self, counts):
+        name = next(iter(counts))
+        with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+            SweepRequest(u_plus_chain(), relaxed(U_PLUS_REFS), 0.1, **{"steps": 5, **counts})
+
+    def test_accepts_numpy_integer_counts(self):
+        req = SweepRequest(u_plus_chain(), relaxed(U_PLUS_REFS), 0.1, np.int64(5),
+                           seeds=np.int64(2))
+        assert (req.steps, req.seeds) == (5, 2)
+        assert type(req.steps) is int and type(req.seeds) is int
+
     def test_branches_follow_policy(self):
         req = SweepRequest(u_plus_chain(), relaxed(U_PLUS_REFS), 0.1, 5)
         assert req.branches == (1, -1)
@@ -607,7 +640,8 @@ class TestSweep:
         result = sweep_force_deflection(req)
         deltas = np.array([p.deflection.delta_x for p in result.points])
         fx = np.array([p.force.fx for p in result.points])
-        work = np.trapezoid(fx, deltas)
+        # the trapezoid rule written out: np.trapezoid needs numpy >= 2.0
+        work = (np.diff(deltas) * (fx[1:] + fx[:-1]) / 2.0).sum()
         gain = result.points[-1].strain_energy - result.points[0].strain_energy
         assert work == pytest.approx(gain, rel=1e-2)
 
