@@ -26,12 +26,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import (
-    DegenerateModelError,
-    ElasticChainError,
-    SingularSampleError,
-    UnreachableTargetError,
-)
+from .errors import DegenerateModelError, ElasticChainError, SingularSampleError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -66,8 +61,8 @@ _BRANCH_TOKENS = {"+": "positive", "-": "negative", "both": "both"}
 class SweepSettings:
     delta_max: float
     steps: int
-    seeds: int = 8
-    drop_ratio: float = 0.1
+    seeds: int
+    drop_ratio: float
 
 
 @dataclass(frozen=True)
@@ -86,11 +81,18 @@ def load_config(path: str) -> AnalysisConfig:
     Recognized keys: links, stiffness, initial_angles (optional, default
     straight), branch ("+", "-", or "both"), and a sweep block with
     delta_max, steps, seeds, drop_ratio. Unknown keys are rejected so a
-    typo cannot silently fall back to a default.
+    typo cannot silently fall back to a default, and a value of the wrong
+    JSON type raises a ValueError that names its key.
     """
     import numpy as np
 
     from .chain import ChainModel
+
+    def typed(key, value, convert=lambda v: np.asarray(v, dtype=float)):
+        try:
+            return convert(value)
+        except TypeError:
+            raise ValueError(f"config key {key!r} has the wrong type: {value!r}") from None
 
     with open(path, encoding="utf-8") as handle:
         raw = json.load(handle)
@@ -105,15 +107,15 @@ def load_config(path: str) -> AnalysisConfig:
         if key not in raw:
             raise ValueError(f"config is missing required key {key!r}")
 
-    chain = ChainModel(raw["links"], raw["stiffness"])
-    angles = np.asarray(raw.get("initial_angles", np.zeros(chain.n)), dtype=float)
+    chain = ChainModel(typed("links", raw["links"]), typed("stiffness", raw["stiffness"]))
+    angles = typed("initial_angles", raw.get("initial_angles", np.zeros(chain.n)))
     if angles.shape != (chain.n,):
         raise ValueError(
             f"initial_angles has {angles.size} entries for a {chain.n}-link chain"
         )
 
     branch_token = raw.get("branch", "both")
-    if branch_token not in _BRANCH_TOKENS:
+    if not isinstance(branch_token, str) or branch_token not in _BRANCH_TOKENS:
         raise ValueError(f"branch must be '+', '-', or 'both', got {branch_token!r}")
 
     sweep_settings = None
@@ -129,10 +131,10 @@ def load_config(path: str) -> AnalysisConfig:
             if key not in block:
                 raise ValueError(f"sweep block is missing required key {key!r}")
         sweep_settings = SweepSettings(
-            delta_max=float(block["delta_max"]),
+            delta_max=typed("delta_max", block["delta_max"], float),
             steps=block["steps"],
             seeds=block.get("seeds", 8),
-            drop_ratio=float(block.get("drop_ratio", 0.1)),
+            drop_ratio=typed("drop_ratio", block.get("drop_ratio", 0.1), float),
         )
         if not 0.0 < sweep_settings.drop_ratio < 1.0:
             raise ValueError("drop_ratio must lie strictly between 0 and 1")
@@ -152,6 +154,11 @@ def _format_value(value, fmt: str) -> str:
         return str(int(value))
     value = float(value)
     return repr(value) if fmt == "csv" else format(value, ".6g")
+
+
+def _row(fmt: str, *values) -> str:
+    """One table line: strings as they are, every other value by _format_value."""
+    return ",".join(v if isinstance(v, str) else _format_value(v, fmt) for v in values)
 
 
 def _emit(lines, out_path):
@@ -178,27 +185,15 @@ def _cmd_critical_force(args) -> int:
 
     modes = _entry("buckling_modes")(config.chain)
     fmt = args.format
-    lines = [f"critical_force,{_format_value(modes[0].axial_force, fmt)}"]
+    lines = [_row(fmt, "critical_force", modes[0].axial_force)]
     if args.modes:
-        lines.append(
-            "mode,eigenvalue,axial_force,energy_factor,shape,stability,mode_vector"
-        )
-        for index, mode in enumerate(modes, start=1):
-            vector = ";".join(_format_value(v, fmt) for v in mode.mode_vector)
-            stability = "stable" if mode.is_primary else "unstable"
-            lines.append(
-                ",".join(
-                    [
-                        str(index),
-                        _format_value(mode.eigenvalue, fmt),
-                        _format_value(mode.axial_force, fmt),
-                        _format_value(mode.energy_factor, fmt),
-                        mode.shape_label,
-                        stability,
-                        vector,
-                    ]
-                )
-            )
+        lines.append("mode,eigenvalue,axial_force,energy_factor,shape,stability,mode_vector")
+        lines += [
+            _row(fmt, index, mode.eigenvalue, mode.axial_force, mode.energy_factor,
+                 mode.shape_label, "stable" if mode.is_primary else "unstable",
+                 ";".join(_format_value(v, fmt) for v in mode.mode_vector))
+            for index, mode in enumerate(modes, start=1)
+        ]
     _emit(lines, args.out)
     return 0
 
@@ -225,51 +220,29 @@ def _cmd_sweep(args) -> int:
     result = _entry("sweep_force_deflection")(request, seed=args.seed, drop_ratio=drop_ratio)
 
     fmt = args.format
+    markers, truncation = result.quasi_buckling_markers, result.truncation
+    first_marker = markers[0][0] if markers else math.inf
     lines = ["delta_x,fx,fy,energy,stability,quasi_buckling"]
-    first_marker = (
-        result.quasi_buckling_markers[0][0]
-        if result.quasi_buckling_markers
-        else math.inf
-    )
-    for point in result.points:
-        delta = point.deflection.delta_x
-        flagged = delta >= first_marker - 1e-12
-        lines.append(
-            ",".join(
-                [
-                    _format_value(delta, fmt),
-                    _format_value(point.force.fx, fmt),
-                    _format_value(point.force.fy, fmt),
-                    _format_value(point.strain_energy, fmt),
-                    point.stability,
-                    _format_value(flagged, fmt),
-                ]
-            )
-        )
-    for delta, ratio in result.quasi_buckling_markers:
-        lines.append(
-            f"# quasi_buckling_marker,{_format_value(delta, fmt)},"
-            f"{_format_value(ratio, fmt)}"
-        )
-    if result.truncation is not None:
-        lines.append(
-            f"# truncated,{_format_value(result.truncation.delta_x, fmt)},"
-            f"{result.truncation.reason}"
-        )
-        _emit(lines, args.out)
-        print(
-            f"error: sweep truncated at delta_x = "
-            f"{result.truncation.delta_x:.6g}: {result.truncation.reason}",
-            file=sys.stderr,
-        )
-        return 4
+    lines += [
+        _row(fmt, p.deflection.delta_x, p.force.fx, p.force.fy, p.strain_energy, p.stability,
+             p.deflection.delta_x >= first_marker - 1e-12)
+        for p in result.points
+    ]
+    lines += [_row(fmt, "# quasi_buckling_marker", delta, ratio) for delta, ratio in markers]
+    if truncation is not None:
+        lines.append(_row(fmt, "# truncated", truncation.delta_x, truncation.reason))
     _emit(lines, args.out)
-    return 0
+    if truncation is None:
+        return 0
+    print(
+        f"error: sweep truncated at delta_x = {truncation.delta_x:.6g}: {truncation.reason}",
+        file=sys.stderr,
+    )
+    return 4
 
 
 def _cmd_three_link(args) -> int:
-    from .chain import Configuration, forward_kinematics
-    from .sweep import _snap_to_axis
+    from .chain import Configuration
 
     config = load_config(args.config)
     if config.chain.n != 3:
@@ -285,31 +258,14 @@ def _cmd_three_link(args) -> int:
         return 2
 
     initial = Configuration(config.initial_angles, config.initial_angles)
-    point = forward_kinematics(config.chain, config.initial_angles)
-    if abs(point.y) > 1e-9 * config.chain.total_length:
-        snapped, _, _ = _snap_to_axis(config.chain, initial, (1, -1))
-        initial = Configuration(snapped, snapped)
-
-    fmt = args.format
     lines = ["delta_x,q1,q2,q3,fx,fy,energy,stability"]
     three_link_equilibria = _entry("three_link_equilibria")
     for delta in deltas:
-        for eq in three_link_equilibria(config.chain, initial, delta):
-            q = eq.configuration.angles
-            lines.append(
-                ",".join(
-                    [
-                        _format_value(delta, fmt),
-                        _format_value(q[0], fmt),
-                        _format_value(q[1], fmt),
-                        _format_value(q[2], fmt),
-                        _format_value(eq.force.fx, fmt),
-                        _format_value(eq.force.fy, fmt),
-                        _format_value(eq.strain_energy, fmt),
-                        eq.stability,
-                    ]
-                )
-            )
+        lines += [
+            _row(args.format, delta, *eq.configuration.angles, eq.force.fx, eq.force.fy,
+                 eq.strain_energy, eq.stability)
+            for eq in three_link_equilibria(config.chain, initial, delta)
+        ]
     _emit(lines, args.out)
     return 0
 
@@ -344,7 +300,7 @@ def _cmd_twolink(args) -> int:
     fmt = args.format
     lines = []
     if mech.half_angle_init == 0.0:
-        lines.append(f"critical_force,{_format_value(twolink_critical(mech), fmt)}")
+        lines.append(_row(fmt, "critical_force", twolink_critical(mech)))
     lines.append("q,delta,force,potential")
     for q in _linspace(args.qmax, args.samples):
         try:
@@ -352,16 +308,7 @@ def _cmd_twolink(args) -> int:
         except SingularSampleError as exc:
             print(f"warning: skipped singular sample: {exc}", file=sys.stderr)
             continue
-        lines.append(
-            ",".join(
-                [
-                    _format_value(q, fmt),
-                    _format_value(delta, fmt),
-                    _format_value(force, fmt),
-                    _format_value(potential, fmt),
-                ]
-            )
-        )
+        lines.append(_row(fmt, q, delta, force, potential))
     _emit(lines, args.out)
     return 0
 
@@ -372,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("csv", "text"), default="csv",
         help="csv keeps full float precision, text rounds to 6 significant digits",
     )
-    common.add_argument("--seed", type=int, default=0, help="random restart seed")
     common.add_argument(
         "--out", default=None, help="write output to this file instead of stdout"
     )
@@ -398,6 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="force-deflection path of a non-straight chain",
     )
     p.add_argument("--config", required=True, help="JSON config file")
+    p.add_argument("--seed", type=int, default=0, help="random restart seed")
     p.add_argument(
         "--drop-ratio", type=float, default=None,
         help="override the quasi-buckling stiffness-drop threshold",
@@ -437,9 +384,6 @@ def main(argv=None) -> int:
     except DegenerateModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except UnreachableTargetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

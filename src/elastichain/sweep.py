@@ -615,6 +615,8 @@ def sweep_force_deflection(
     lies out of the chain's reach (NO_CLOSURE), or where no start converges
     to an equilibrium (NO_EQUILIBRIUM), truncates the sweep.
     """
+    if not 0.0 < drop_ratio < 1.0:
+        raise ValueError("drop_ratio must lie strictly between 0 and 1")
     chain = request.chain
     snapped, x0, branch = _snap_to_axis(chain, request.initial_config, request.branches)
     reference = tuple(float(v) for v in snapped)
@@ -791,9 +793,13 @@ def three_link_equilibria(
     its elbow, with q2 within [-pi, pi] and off the closure boundary. Minima
     are stable, maxima unstable; kinks of the closure boundary are not
     equilibria and fail that test. Points are returned sorted by strain
-    energy.
+    energy. A relaxed shape whose tip is over 1e-9 of the total length off
+    the axis, e.g. one tabulated to four decimals, is first snapped onto it
+    as a sweep's start is (_snap_to_axis, either elbow); the snapped shape
+    is then the springs' reference.
 
     Raises:
+        ValueError: the tip lies too far off the axis to snap.
         UnreachableTargetError: no first-joint angle reaches the deflected
             end-point.
     """
@@ -812,9 +818,8 @@ def three_link_equilibria(
     start = forward_kinematics(chain, angles)
     total = chain.total_length
     if abs(start.y) > 1e-9 * total:
-        raise ValueError(
-            f"unloaded end-point y = {start.y:.6g} must lie on the axis"
-        )
+        angles = _snap_to_axis(chain, initial_config, (1, -1))[0]
+        start = forward_kinematics(chain, angles)
 
     lengths = tuple(float(v) for v in chain.link_lengths)
     stiffness = chain.joint_stiffness

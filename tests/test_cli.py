@@ -107,6 +107,25 @@ class TestCriticalForceCommand:
         assert code == 0
         assert out == "critical_force,0.924028\n"
 
+    def test_modes_table_text_is_exact(self, tmp_path, capsys):
+        """The one table with an integer index, a label, a stability word and
+        a ;-joined vector, in the rounded text format."""
+        code = main(
+            ["critical-force", "--modes", "--format", "text",
+             "--config", write_config(tmp_path, STRAIGHT4)]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "critical_force,0.924028\n"
+            "mode,eigenvalue,axial_force,energy_factor,shape,stability,mode_vector\n"
+            "1,-1.08222,0.924028,0.924028,U,stable,"
+            "-0.518484;0.0902306;0.61557;0.572106;0.129621\n"
+            "2,-0.433716,2.30566,2.30566,ZU(2),unstable,"
+            "-0.386269;0.600902;0.202599;-0.662828;0.0965673\n"
+            "3,-0.284066,3.52031,3.52031,Z,unstable,"
+            "-0.206217;0.571285;-0.662317;0.435645;0.0515542\n"
+        )
+
     def test_rejects_bent_configuration(self, tmp_path, capsys):
         code = main(["critical-force", "--config", write_config(tmp_path, BENT3)])
         captured = capsys.readouterr()
@@ -197,6 +216,29 @@ class TestSweepCommand:
         assert code == 2
         assert captured.out == ""
         assert f"{key} must be a whole number" in captured.err
+
+    @pytest.mark.parametrize("command", ["sweep", "critical-force"])
+    @pytest.mark.parametrize("change, key", [
+        ({"sweep": {"delta_max": [1], "steps": 4}}, "delta_max"),
+        ({"sweep": {"delta_max": 0.8, "steps": 4, "drop_ratio": None}}, "drop_ratio"),
+        ({"links": {"a": 1}}, "links"),
+        ({"branch": ["+"]}, "branch"),
+    ])
+    def test_value_of_the_wrong_json_type_exits_2(self, tmp_path, capsys, command, change, key):
+        code = main([command, "--config", write_config(tmp_path, {**SWEEP3, **change})])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert key in captured.err
+
+    def test_drop_ratio_out_of_range_exits_2_before_any_row(self, tmp_path, capsys):
+        payload = {**SWEEP3, "sweep": {"delta_max": 0.2, "steps": 2, "seeds": 0}}
+        code = main(["sweep", "--config", write_config(tmp_path, payload),
+                     "--drop-ratio", "1.5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "drop_ratio" in captured.err
 
     def test_drop_ratio_flag(self, tmp_path, capsys):
         # a nearly-impossible threshold suppresses every marker
@@ -333,6 +375,18 @@ class TestTwolinkCommand:
         assert row[0] == "0.5"
         expected = 2 * 0.5 / math.sin(0.5)
         assert row[2] == format(expected, ".6g")
+
+
+@pytest.mark.parametrize("argv", [
+    ["twolink", "--alpha", "0", "--k", "1", "--L", "1", "--qmax", "1.0"],
+    ["critical-force", "--config", "straight.json"],
+    ["three-link", "--config", "three.json", "--deltas", "0.1"],
+])
+def test_seed_is_a_sweep_option_only(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--seed", "3"])
+    assert exit_info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_nonzero():

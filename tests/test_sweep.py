@@ -556,6 +556,26 @@ class TestThreeLinkEquilibria:
         with pytest.raises(ValueError):
             three_link_equilibria(chain, cfg, 0.1)
 
+    def test_snaps_a_shape_rounded_off_the_axis(self):
+        """A relaxed shape whose tip is off the axis, as a shape tabulated to
+        four decimals is, is snapped as a sweep snaps it: the same points as
+        from the snapped shape, each with its tip on the axis."""
+        chain = u_plus_chain()
+        rounded = relaxed((0.8573, -0.7854, -1.0472))
+        assert abs(forward_kinematics(chain, rounded.angles).y) > 1e-5
+        snapped = relaxed(sweep_module._snap_to_axis(chain, rounded, (1, -1))[0])
+        eqs = three_link_equilibria(chain, rounded, 0.3)
+        assert len(eqs) == 4
+        for got, want in zip(eqs, three_link_equilibria(chain, snapped, 0.3), strict=True):
+            np.testing.assert_array_equal(got.configuration.angles, want.configuration.angles)
+            assert (got.force, got.strain_energy) == (want.force, want.strain_energy)
+            assert forward_kinematics(chain, got.configuration.angles).y == pytest.approx(
+                0.0, abs=1e-12)
+
+    def test_rejects_a_shape_too_far_off_the_axis_to_snap(self):
+        with pytest.raises(ValueError, match="too far off"):
+            three_link_equilibria(u_plus_chain(), relaxed((0.9, -0.2, -0.3)), 0.1)
+
 
 class TestSweepRequest:
     def test_rejects_two_link_chain(self):
@@ -606,6 +626,14 @@ class TestSweepRequest:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("drop_ratio", [0.0, 1.0, 7.0])
+    def test_rejects_a_drop_ratio_out_of_range_before_it_sweeps(self, drop_ratio):
+        # two steps give too few points for quasi-buckling detection, which
+        # would otherwise be the first to look at the ratio
+        req = SweepRequest(u_plus_chain(), relaxed(U_PLUS_REFS), 0.2, 2, seeds=0)
+        with pytest.raises(ValueError, match="drop_ratio"):
+            sweep_force_deflection(req, drop_ratio=drop_ratio)
+
     def test_starts_at_rest(self):
         req = SweepRequest(u_plus_chain(), relaxed(U_PLUS_REFS), 0.4, 5, seeds=1)
         result = sweep_force_deflection(req)
