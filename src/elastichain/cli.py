@@ -113,6 +113,8 @@ def load_config(path: str) -> AnalysisConfig:
         raise ValueError(
             f"initial_angles has {angles.size} entries for a {chain.n}-link chain"
         )
+    if not np.all(np.isfinite(angles)):
+        raise ValueError("initial_angles must contain only finite values")
 
     branch_token = raw.get("branch", "both")
     if not isinstance(branch_token, str) or branch_token not in _BRANCH_TOKENS:

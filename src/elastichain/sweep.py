@@ -343,17 +343,21 @@ def _derivatives(stiffness, reference, full, jac):
 
 @dataclass(frozen=True)
 class _Solve:
-    """A closed configuration with its energy, Jacobian and _derivatives."""
+    """A closed configuration with its energy, Jacobian, force, torque
+    residual J^T F + K (q - q0), and the _stability of its reduced Hessian,
+    set where the solve is built: the tag, the degenerate flag and the margin
+    (the smallest eigenvalue; inf for an empty Hessian)."""
 
     energy: float
     full: np.ndarray
     jac: np.ndarray
     force: np.ndarray
-    gradient: np.ndarray
-    hessian: np.ndarray
     residual: np.ndarray
+    stability: str
+    degenerate: bool
+    margin: float
 
-    def point(self, stability, delta, reference, pre_displacement):
+    def point(self, delta, reference, pre_displacement):
         """The EquilibriumPoint at axial deflection delta."""
         # + 0.0 turns the -0.0 of an unloaded point into 0.0
         fx, fy = float(self.force[0]) + 0.0, float(self.force[1]) + 0.0
@@ -363,7 +367,7 @@ class _Solve:
             force=PlanarForce(fx, fy),
             strain_energy=self.energy,
             potential_energy=self.energy - fx * delta,
-            stability=stability,
+            stability=self.stability,
             residual_norm=float(np.linalg.norm(self.residual)),
         )
 
@@ -385,7 +389,7 @@ def _minimize_stack(chain, reference, lead, tx, branch):
     reached.
     """
     lengths, stiffness = chain.link_lengths, chain.joint_stiffness
-    closure = functools.partial(_closed_energies, lengths, stiffness, np.asarray(reference))
+    closure = functools.partial(_closed_energies, lengths, stiffness, reference)
     scale = float(np.max(stiffness))
     alphas = 0.5 ** np.arange(1 + int(math.log2(1.0 / MIN_STEP)))  # 1, 1/2, ... >= MIN_STEP
     blocks = alphas[:4, None], alphas[4:, None]
@@ -414,8 +418,8 @@ def _minimize_stack(chain, reference, lead, tx, branch):
         small = (step * step).sum(axis=1) <= ROUNDING * ROUNDING * (1.0 + (lead * lead).sum(axis=1))
         converged = (norm >= 0.5 * previous) & ((norm <= GRADIENT_TOLERANCE * scale) | small)
         for i in np.flatnonzero(converged):
-            results[rows[i]] = _Solve(float(energy[i]), full[i], jac[i], force[i], gradient[i],
-                                      hessian[i], jac[i].T @ force[i] + tau[i])
+            results[rows[i]] = _Solve(float(energy[i]), full[i], jac[i], force[i],
+                                      jac[i].T @ force[i] + tau[i], *_stability(hessian[i]))
         sliding = (values[:, 0] < 0.0) & (sine < np.minimum(BOUNDARY_SINE, previous_sine))
         previous, previous_sine = norm, sine
         # the line search: rows that pass update full and energy in place
@@ -450,11 +454,11 @@ def _solve_at(chain, reference, full, jac=None, force=None):
     full = np.asarray(full, dtype=float)
     if jac is None:
         jac = _jacobian_raw(chain.link_lengths, full)
-    stretch = full - np.asarray(reference)
+    stretch = full - reference
     energy = 0.5 * float(chain.joint_stiffness @ (stretch * stretch))
-    chart_force, gradient, hessian, tau = _derivatives(chain.joint_stiffness, reference, full, jac)
+    chart_force, _, hessian, tau = _derivatives(chain.joint_stiffness, reference, full, jac)
     force = chart_force if force is None else force
-    return _Solve(energy, full, jac, force, gradient, hessian, jac.T @ force + tau)
+    return _Solve(energy, full, jac, force, jac.T @ force + tau, *_stability(hessian))
 
 
 def _correct(chain, reference, full, force, tx):
@@ -471,7 +475,7 @@ def _correct(chain, reference, full, force, tx):
     stiffness = chain.joint_stiffness
     scale = float(np.max(stiffness))
     weight = scale / chain.total_length
-    n, reference = full.size, np.asarray(reference)
+    n = full.size
     rhs = np.zeros((n + 2, 2))
     rhs[n, 1] = 1.0
     previous = math.inf
@@ -507,10 +511,10 @@ def _path_step(chain, reference, start, tx, branches, halvings=PATH_HALVINGS):
     change per unit tx over the path step that reached it (else 0).
 
     _correct lands the prediction h t + h^2 bend / 2, h = tx - tx_from.
-    Returns that tuple at tx and its classify_stability if it is stable
-    (positive definite reduced Hessian), off the closure boundary and on an
-    elbow sign(sin q_n) in `branches`; else retries as two half-steps,
-    `halvings` levels deep, then gives None, e.g. past a fold in delta_x.
+    Returns that tuple at tx, the next start, if its solve is stable
+    (positive margin), off the closure boundary and on an elbow
+    sign(sin q_n) in `branches`; else retries as two half-steps, `halvings`
+    levels deep, then gives None, e.g. past a fold in delta_x.
     """
     solve, tx_from, tangent, bend = start
     h, n = tx - tx_from, solve.full.size
@@ -523,14 +527,13 @@ def _path_step(chain, reference, start, tx, branches, halvings=PATH_HALVINGS):
         chain, reference, solve.full + step[:n], solve.force + step[n:], tx)
     if full is not None and abs(math.sin(full[-1])) > SINGULAR_SINE and _branch(full) in branches:
         point = _solve_at(chain, reference, full, jac, force)
-        tag, degenerate, lowest = _stability(point.hessian)
-        if lowest > 0.0:
-            return (point, tx, ahead, (ahead - tangent) / h), (tag, degenerate)
+        if point.margin > 0.0:
+            return point, tx, ahead, (ahead - tangent) / h
     if not halvings:
         return None
     half = _path_step(chain, reference, (solve, tx_from, tangent, bend), 0.5 * (tx_from + tx),
                       branches, halvings - 1)
-    return half and _path_step(chain, reference, half[0], tx, branches, halvings - 1)
+    return half and _path_step(chain, reference, half, tx, branches, halvings - 1)
 
 
 def _branch(full):
@@ -539,7 +542,7 @@ def _branch(full):
 
 
 def _snap_to_axis(chain, config, branches):
-    """Project the unloaded shape onto the sweep axis.
+    """Project the unloaded shape onto the x axis.
 
     Tabulated shapes carry rounding of a few 1e-4 rad, leaving the end-point
     slightly off axis; the trailing two angles are re-solved so the chain
@@ -558,8 +561,8 @@ def _snap_to_axis(chain, config, branches):
     total = chain.total_length
     if abs(point.y) > 0.01 * total:
         raise ValueError(
-            f"unloaded end-point y = {point.y:.6g} is too far off the sweep "
-            "axis to snap"
+            f"unloaded end-point y = {point.y:.6g} is too far off the x axis "
+            "to snap"
         )
     target = PlanarPoint(point.x, 0.0)
     best = None
@@ -573,8 +576,8 @@ def _snap_to_axis(chain, config, branches):
             best = (full, branch, gap)
     if best is None or best[2] > 0.05:
         raise ValueError(
-            "could not reproduce the unloaded shape on the sweep axis with "
-            "the allowed elbow branches"
+            "could not reproduce the unloaded shape on the x axis with the "
+            "allowed elbow branches"
         )
     return best[0], point.x, best[1]
 
@@ -609,18 +612,16 @@ def sweep_force_deflection(
     STACK_ROWS rows (_minimize_stack), row by row the same as one at a time;
     `seeds` costs a few stacked descents. Solves that slide onto the
     closure boundary are not equilibria and count as neither. A point's
-    force is the constraint multiplier, its stability comes from the
-    analytic reduced Hessian. Strain energy is checked for monotone growth
-    and any violation is noted on the branch log. A step whose end-point
-    lies out of the chain's reach (NO_CLOSURE), or where no start converges
-    to an equilibrium (NO_EQUILIBRIUM), truncates the sweep.
+    force is the constraint multiplier, its stability is set when it is
+    solved, from the analytic reduced Hessian. Strain energy is checked for
+    monotone growth and any violation is noted on the branch log. A step
+    whose end-point lies out of the chain's reach (NO_CLOSURE), or where no
+    start converges to an equilibrium (NO_EQUILIBRIUM), truncates the sweep.
     """
     if not 0.0 < drop_ratio < 1.0:
         raise ValueError("drop_ratio must lie strictly between 0 and 1")
     chain = request.chain
-    snapped, x0, branch = _snap_to_axis(chain, request.initial_config, request.branches)
-    reference = tuple(float(v) for v in snapped)
-    ref_config = np.asarray(snapped, dtype=float)
+    reference, x0, branch = _snap_to_axis(chain, request.initial_config, request.branches)
     pre_displacement = chain.total_length - x0
     deltas = np.linspace(0.0, request.delta_max, request.steps)
     offsets = _restart_offsets(seed, request.steps, request.seeds, chain.n - 2)
@@ -645,21 +646,19 @@ def sweep_force_deflection(
             out += [(found[k, other, r], other, r) for r in restarts if (k, other, r) in found]
         return out
 
-    # pass 1: the path; per step (delta, previous elbow, first, the chosen
-    # candidate, its stability if it is a path point)
+    # pass 1: the path; per step (delta, previous elbow, first, the chosen candidate)
     steps, truncation = [], None
-    previous, lead = None, ref_config[:-2]  # the last point, as _path_step starts
+    previous, lead = None, reference[:-2]  # the last point, as _path_step starts
     for k, delta in enumerate(deltas):
         tx = x0 - float(delta)
-        first, stability, start = None, None, None
+        first, start = None, None
         if previous is None:
             # the unloaded start: the relaxed shape itself, off the boundary
-            if abs(math.sin(ref_config[-1])) > SINGULAR_SINE:
-                first = (_solve_at(chain, reference, ref_config), branch, 0)
+            if abs(math.sin(reference[-1])) > SINGULAR_SINE:
+                first = (_solve_at(chain, reference, reference), branch, 0)
         else:
-            path = _path_step(chain, reference, previous, tx, request.branches)
-            if path is not None:
-                start, stability = path
+            start = _path_step(chain, reference, previous, tx, request.branches)
+            if start is not None:
                 first = (start[0], _branch(start[0].full), 0)
             else:
                 # past a fold: where the descent leads, restart 0 of the queue
@@ -678,14 +677,13 @@ def sweep_force_deflection(
                 reason = NO_EQUILIBRIUM if abs(tx) >= inner else NO_CLOSURE
                 truncation = SweepTruncation(delta_x=float(delta), reason=reason)
                 break
-        steps.append((float(delta), branch, first, chosen, stability))
+        steps.append((float(delta), branch, first, chosen))
         previous, lead, branch = start or (chosen[0], tx, None, 0.0), chosen[0].full[:-2], chosen[1]
     run_queue()
 
     # pass 2: advise and record, step by step
     points, log, advisories = [], [], []
-    for k, (delta, elbow, first, (solve, branch, restart), stability) in enumerate(steps):
-        note = "" if first is not None else "no warm equilibrium; continued from a restart"
+    for k, (delta, elbow, first, (solve, branch, restart)) in enumerate(steps):
         for other, other_branch, _ in candidates(k, elbow, first):
             gap = float(np.max(np.abs(other.full[:-2] - solve.full[:-2])))
             if other_branch == branch and gap <= 1e-3:
@@ -697,19 +695,15 @@ def sweep_force_deflection(
                 ))
                 break
 
-        tag, degenerate = stability or classify_stability(solve.hessian)
-        if degenerate:
-            note = (note + "; " if note else "") + "degenerate stability"
-
-        points.append(solve.point(tag, delta, ref_config, pre_displacement))
-        log.append(SweepStepRecord(delta, branch, restart, note))
-
-    for i in range(1, len(points)):
-        drop = points[i - 1].strain_energy - points[i].strain_energy
-        if drop > 1e-9 * max(1.0, abs(points[i - 1].strain_energy)):
-            log[i].note = (log[i].note + "; " if log[i].note else "") + (
-                f"strain energy decreased by {drop:.3g}"
-            )
+        notes = [] if first is not None else ["no warm equilibrium; continued from a restart"]
+        if solve.degenerate:
+            notes.append("degenerate stability")
+        last = points[-1].strain_energy if points else solve.energy
+        drop = last - solve.energy
+        if drop > 1e-9 * max(1.0, abs(last)):
+            notes.append(f"strain energy decreased by {drop:.3g}")
+        points.append(solve.point(delta, reference, pre_displacement))
+        log.append(SweepStepRecord(delta, branch, restart, "; ".join(notes)))
 
     markers = []
     if len(points) >= 3:
@@ -809,21 +803,19 @@ def three_link_equilibria(
     delta = float(delta)
     if not math.isfinite(delta) or delta < 0.0:
         raise ValueError("delta must be nonnegative")
-    angles = initial_config.angles
-    if not np.allclose(angles, initial_config.reference_angles, atol=1e-9):
+    reference = initial_config.angles
+    if not np.allclose(reference, initial_config.reference_angles, atol=1e-9):
         raise ValueError(
             "equilibria are enumerated from the relaxed shape: initial "
             "angles must equal the reference angles"
         )
-    start = forward_kinematics(chain, angles)
+    start = forward_kinematics(chain, reference)
     total = chain.total_length
     if abs(start.y) > 1e-9 * total:
-        angles = _snap_to_axis(chain, initial_config, (1, -1))[0]
-        start = forward_kinematics(chain, angles)
+        reference = _snap_to_axis(chain, initial_config, (1, -1))[0]
+        start = forward_kinematics(chain, reference)
 
-    lengths = tuple(float(v) for v in chain.link_lengths)
-    stiffness = chain.joint_stiffness
-    reference = tuple(float(v) for v in angles)
+    lengths, stiffness = chain.link_lengths, chain.joint_stiffness
     tx = start.x - delta
     arcs = _feasible_arcs(lengths, tx, 0.0)
     if not arcs:
@@ -842,10 +834,8 @@ def three_link_equilibria(
                 energy, full = float(energy[0]), full[0]
                 tau = stiffness * (full - reference)
                 if energy < math.inf and np.max(np.abs(tau)) <= 1e-9 * np.max(stiffness):
-                    found.append(_Solve(
-                        energy, full, _jacobian_raw(chain.link_lengths, full), np.zeros(2),
-                        np.zeros(0), np.zeros((0, 0)), tau,
-                    ))
+                    found.append(_Solve(energy, full, _jacobian_raw(lengths, full), np.zeros(2),
+                                        tau, *_stability(np.zeros((0, 0)))))
 
     # the grid: a row of closures per elbow and arc, all from one call
     arcs = np.array([arc for arc in arcs if arc[1] - arc[0] >= 1e-10]).reshape(-1, 2)
@@ -905,9 +895,5 @@ def three_link_equilibria(
     for solve in found:
         if all(np.max(np.abs(solve.full - other.full)) > DEDUPE_TOLERANCE for other in unique):
             unique.append(solve)
-    reference_vec = np.asarray(reference)
     pre_displacement = total - start.x
-    return [
-        solve.point(classify_stability(solve.hessian)[0], delta, reference_vec, pre_displacement)
-        for solve in unique
-    ]
+    return [solve.point(delta, reference, pre_displacement) for solve in unique]

@@ -389,6 +389,18 @@ def test_seed_is_a_sweep_option_only(argv, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["critical-force"], ["sweep"], ["three-link", "--deltas", "0.1"],
+])
+def test_non_finite_initial_angles_are_named(tmp_path, capsys, command):
+    payload = {**SWEEP3, "initial_angles": [math.nan, 0.3, -0.3]}
+    code = main([command[0], "--config", write_config(tmp_path, payload), *command[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "initial_angles must contain only finite values" in captured.err
+
+
 def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit) as info:
         main(["polish"])

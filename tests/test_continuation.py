@@ -209,7 +209,7 @@ class TestPathWork:
         def spy(chain, reference, start, tx, branches, *rest):
             out = step(chain, reference, start, tx, branches, *rest)
             if out is not None:
-                passed.append(out[0])
+                passed.append(out)
             return out
 
         monkeypatch.setattr(sweep_module, "_path_step", spy)

@@ -511,7 +511,7 @@ class TestThreeLinkEquilibria:
                 lead = rng.uniform(-math.pi, math.pi, (48, 1))
                 tx = np.full(48, x0 - delta)
                 for solve in _minimize_stack(chain, cfg.reference_angles, lead, tx, branch):
-                    if (solve is None or classify_stability(solve.hessian)[0] != "stable"
+                    if (solve is None or solve.stability != "stable"
                             or not any(lo <= solve.full[0] <= hi for lo, hi in arcs)):
                         continue
                     gaps = [np.max(np.abs(e.configuration.angles - solve.full)) for e in eqs]
@@ -573,8 +573,9 @@ class TestThreeLinkEquilibria:
                 0.0, abs=1e-12)
 
     def test_rejects_a_shape_too_far_off_the_axis_to_snap(self):
-        with pytest.raises(ValueError, match="too far off"):
+        with pytest.raises(ValueError, match="too far off") as info:
             three_link_equilibria(u_plus_chain(), relaxed((0.9, -0.2, -0.3)), 0.1)
+        assert "sweep" not in str(info.value)
 
 
 class TestSweepRequest:
@@ -820,6 +821,33 @@ class TestSweep:
                 pa.configuration.angles, pb.configuration.angles
             )
 
+    @pytest.mark.parametrize("index, delta, note", [
+        (2, 3.2605, "no warm equilibrium; continued from a restart"),
+        (30, 0.2173, "degenerate stability"),
+        (248, 3.6135, "strain energy decreased by 0.00401"),
+    ])
+    def test_branch_log_note_texts(self, index, delta, note):
+        """Chains of a survey of random bent chains (default_rng(0), each
+        swept to 0.8 x0 in 20 steps with seeds=2 and seed=its index, the
+        branch policy cycling by index) whose branch logs hold one note."""
+        rng = np.random.default_rng(0)
+        for _ in range(index + 1):
+            n = int(rng.integers(3, 6))
+            lengths, springs = rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 2.0, n)
+            if rng.random() < 0.3:
+                springs[0] = 0.0
+            angles = rng.uniform(-1.2, 1.2, n)
+        chain = ChainModel(lengths, springs)
+        config = TestThreeLinkEquilibria.on_axis(chain, angles)
+        x0 = forward_kinematics(chain, config.angles).x
+        policy = ("both", "positive", "negative")[index % 3]
+        request = SweepRequest(chain, config, 0.8 * x0, 20, policy, seeds=2)
+        log = sweep_force_deflection(request, seed=index).branch_log
+        noted = [(record.delta_x, record.note) for record in log if record.note]
+        assert len(noted) == 1
+        assert noted[0][0] == pytest.approx(delta, abs=1e-4)
+        assert noted[0][1] == note
+
 
 class TestNewtonMinimize:
     def test_slide_onto_closure_boundary_stops_early(self, monkeypatch):
@@ -851,12 +879,11 @@ class TestNewtonMinimize:
         lead = np.array([-0.7208, 1.6736])
         start = close_chain(chain, lead, PlanarPoint(1.0757, 0.0), +1)
         assert abs(math.sin(start[-1])) < 0.05
-        hessian = sweep_module._solve_at(chain, np.asarray(ref), start).hessian
-        assert np.linalg.eigvalsh(hessian)[0] < 0.0
+        assert sweep_module._solve_at(chain, np.asarray(ref), start).margin < 0.0
 
         solve = descend(chain, ref, lead, 1.0757, +1)
         assert solve is not None
-        assert classify_stability(solve.hessian) == ("stable", False)
+        assert (solve.stability, solve.degenerate) == ("stable", False)
         assert np.linalg.norm(solve.residual) < 1e-12
         assert abs(math.sin(solve.full[-1])) > 0.5
 
