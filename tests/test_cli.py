@@ -288,7 +288,10 @@ class TestThreeLinkCommand:
             ["three-link", "--config", write_config(tmp_path, STRAIGHT4),
              "--deltas", "0.1"]
         )
+        captured = capsys.readouterr()
         assert code == 2
+        assert captured.out == ""
+        assert "got 4 links" in captured.err
 
     def test_unreachable_delta(self, tmp_path, capsys):
         code = main(
@@ -399,6 +402,25 @@ def test_non_finite_initial_angles_are_named(tmp_path, capsys, command):
     assert code == 2
     assert captured.out == ""
     assert "initial_angles must contain only finite values" in captured.err
+
+
+@pytest.mark.parametrize("command", [
+    ["critical-force"], ["sweep"], ["three-link", "--deltas", "0.1"],
+])
+@pytest.mark.parametrize("payload, problem", [
+    ([1, 2, 3], "config must be a JSON object"),
+    ({**SWEEP3, "sweep": [0.8, 9]}, "sweep block must be a JSON object"),
+    ({**SWEEP3, "sweep": {"delta_max": 0.8}}, "sweep block is missing required key 'steps'"),
+    ({**SWEEP3, "sweep": {**SWEEP3["sweep"], "drop_ratio": 1.5}},
+     "drop_ratio must lie strictly between 0 and 1"),
+])
+def test_malformed_config_exits_2_and_names_its_problem(tmp_path, capsys, command, payload,
+                                                        problem):
+    code = main([command[0], "--config", write_config(tmp_path, payload), *command[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert problem in captured.err
 
 
 def test_unknown_subcommand_exits_nonzero():

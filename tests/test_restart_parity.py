@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from elastichain import ChainModel, Configuration, SweepRequest, sweep_force_deflection
+from elastichain import sweep as sweep_module
 
 CASES = {
     "DISCONNECTED": ((1.0,) * 4, (1.0,) * 4, (-0.2417, 0.6821, -0.795745, 0.517015), 1.5, 16),
@@ -59,6 +60,17 @@ def test_matches_recorded_restarts(name, seed):
     for advisory, reference in zip(got["advisories"], expected["advisories"]):
         assert advisory[0] == reference[0]
         np.testing.assert_allclose(advisory[1:], reference[1:], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_descents_split_into_small_stacks_match(name, seed, monkeypatch):
+    """Stacks of three rows, which give a fold's descent and each restart
+    other neighbours than one whole stack does, give the same sweep bit for
+    bit."""
+    whole = record(name, seed)
+    monkeypatch.setattr(sweep_module, "STACK_ROWS", 3)
+    assert record(name, seed) == whole
 
 
 if __name__ == "__main__":

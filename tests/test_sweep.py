@@ -179,6 +179,28 @@ class TestDetectQuasiBuckling:
         with pytest.raises(ValueError):
             detect_quasi_buckling(pairs, drop_ratio=1.0)
 
+    @pytest.mark.parametrize("pairs", [
+        [(0.0, 0.0), (0.0, 1.0), (0.1, 2.0), (0.2, 2.1)],
+        [(0.0, 0.0), (0.1, math.nan), (0.2, 2.0), (0.3, 2.1)],
+        [(0.3, 0.0), (0.2, 1.0), (0.1, 2.0), (0.0, 2.1)],
+    ])
+    def test_rejects_pairs_out_of_order_or_not_finite(self, pairs):
+        with pytest.raises(ValueError, match="increase strictly"):
+            detect_quasi_buckling(pairs)
+
+    def test_sweep_result_gives_the_sweeps_markers(self):
+        chain = ChainModel([1.0] * 4, [1.0] * 4)
+        z = (-0.2417, 0.6821, -0.7958, 0.5170)
+        result = sweep_force_deflection(SweepRequest(chain, relaxed(z), 0.6, 30, seeds=0))
+        assert result.quasi_buckling_markers
+        assert detect_quasi_buckling(result) == result.quasi_buckling_markers
+
+    def test_path_softening_from_its_start_has_no_markers(self):
+        # the stiffness is negative from the first point, so there is no
+        # positive reference to collapse from
+        pairs = [(d, -d * d - d) for d in np.linspace(0.0, 1.0, 11)]
+        assert detect_quasi_buckling(pairs) == []
+
 
 class TestReducedEnergy:
     def test_zero_at_relaxed_shape(self):
@@ -545,8 +567,32 @@ class TestThreeLinkEquilibria:
     def test_requires_three_links(self):
         chain = ChainModel([1.0] * 4, [1.0] * 4)
         q = np.zeros(4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs a three-link chain, got 4 links"):
             three_link_equilibria(chain, relaxed(q), 0.1)
+
+    @pytest.mark.parametrize("delta", [-0.1, math.nan])
+    def test_rejects_a_deflection_that_is_negative_or_not_finite(self, delta):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            three_link_equilibria(u_plus_chain(), relaxed(U_PLUS_REFS), delta)
+
+    def test_tip_at_the_base(self):
+        """At delta = x0 the three unit links close into a triangle over
+        every first-joint angle (the full-circle arc). Joint 1 then carries
+        no torque, so each of the two triangles is stable with q1 at its
+        reference and q2 = q3 = +-2 pi/3."""
+        chain = ChainModel([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
+        cfg = self.on_axis(chain, (0.3, 0.5, -0.4))
+        x0 = forward_kinematics(chain, cfg.angles).x
+        assert sweep_module._feasible_arcs(chain.link_lengths, 0.0, 0.0) == [(-math.pi, math.pi)]
+        stable = [e for e in three_link_equilibria(chain, cfg, x0) if e.stability == "stable"]
+        assert len(stable) == 2
+        turns = sorted(e.configuration.angles[1] for e in stable)
+        assert turns == pytest.approx([-2.0 * math.pi / 3.0, 2.0 * math.pi / 3.0], abs=1e-12)
+        for e in stable:
+            q = e.configuration.angles
+            assert q[0] == pytest.approx(cfg.angles[0], abs=1e-12)
+            assert q[2] == pytest.approx(q[1], abs=1e-12)
+            assert e.residual_norm < 1e-12
 
     def test_requires_relaxed_start(self):
         chain = u_plus_chain()
@@ -601,6 +647,11 @@ class TestSweepRequest:
     def test_rejects_negative_seeds(self):
         with pytest.raises(ValueError):
             SweepRequest(u_plus_chain(), relaxed(U_PLUS_REFS), 0.1, 5, seeds=-1)
+
+    @pytest.mark.parametrize("delta_max", [0.0, math.inf])
+    def test_rejects_a_deflection_that_is_not_positive_and_finite(self, delta_max):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SweepRequest(u_plus_chain(), relaxed(U_PLUS_REFS), delta_max, 5)
 
     @pytest.mark.parametrize("counts", [
         {"steps": 2.9}, {"steps": 5.0}, {"steps": "5"}, {"steps": True},
@@ -809,6 +860,14 @@ class TestSweep:
         bent = np.array([0.9, -0.2, -0.3])
         with pytest.raises(ValueError):
             sweep_force_deflection(SweepRequest(chain, relaxed(bent), 0.2, 5))
+
+    def test_rejects_a_policy_that_excludes_the_relaxed_elbow(self):
+        # TABLE_U ends on the positive elbow (sin q4 > 0)
+        chain = ChainModel([1.0] * 4, [1.0] * 4)
+        u = relaxed((-0.3179, 0.0558, 0.3804, 0.3524))
+        request = SweepRequest(chain, u, 0.6, 5, branch_policy="negative", seeds=0)
+        with pytest.raises(ValueError, match="could not reproduce the unloaded shape"):
+            sweep_force_deflection(request)
 
     def test_deterministic_for_fixed_seed(self):
         req = SweepRequest(u_plus_chain(), relaxed(U_PLUS_REFS), 0.5, 6, seeds=2)
