@@ -199,9 +199,10 @@ def jacobian(chain: ChainModel, angles) -> np.ndarray:
 def _jacobian_raw(lengths: np.ndarray, q: np.ndarray) -> np.ndarray:
     """jacobian without validation, of one angle vector or of a stack of rows
     (shape (m, n) gives (m, 2, n)). Its first column is (-y, x) of the end-point."""
-    headings = np.cumsum(q, axis=-1)
+    # ndarray methods, not the np.cumsum wrapper: a path step makes many such small calls
+    headings = q.cumsum(axis=-1)
     projections = lengths * np.array([-np.sin(headings), np.cos(headings)]).swapaxes(0, -2)
-    return np.cumsum(projections[..., ::-1], axis=-1)[..., ::-1]
+    return projections[..., ::-1].cumsum(axis=-1)[..., ::-1]
 
 
 def _check_branch(branch) -> int:
@@ -289,6 +290,20 @@ def _close_chains(lengths, lead, tx, ty, branch):
     return full, feasible
 
 
+def _check_leading(chain: ChainModel, leading_angles) -> np.ndarray:
+    """The n-2 leading angles of a closure, for a chain of at least three links."""
+    if chain.n < 3:
+        raise ValueError("chain closure needs at least three links")
+    lead = np.asarray(leading_angles, dtype=float)
+    if lead.shape != (chain.n - 2,):
+        raise DimensionMismatchError(
+            f"expected {chain.n - 2} leading angles, got shape {lead.shape}"
+        )
+    if not np.all(np.isfinite(lead)):
+        raise ValueError("leading angles must be finite")
+    return lead
+
+
 def close_chain(chain: ChainModel, leading_angles, target: PlanarPoint,
                 branch: int = +1) -> np.ndarray:
     """Complete a configuration so the end-point lands on `target`.
@@ -305,15 +320,7 @@ def close_chain(chain: ChainModel, leading_angles, target: PlanarPoint,
             target with the last two links (an infeasible reduced-space
             candidate, not a fault).
     """
-    if chain.n < 3:
-        raise ValueError("chain closure needs at least three links")
-    lead = np.asarray(leading_angles, dtype=float)
-    if lead.shape != (chain.n - 2,):
-        raise DimensionMismatchError(
-            f"expected {chain.n - 2} leading angles, got shape {lead.shape}"
-        )
-    if not np.all(np.isfinite(lead)):
-        raise ValueError("leading angles must be finite")
+    lead = _check_leading(chain, leading_angles)
     sign = _check_branch(branch)
     full, feasible = _close_chains(chain.link_lengths, lead[None], target.x, target.y, sign)
     if not feasible[0]:

@@ -33,6 +33,8 @@ from .chain import (
     Configuration,
     DeflectionState,
     PlanarPoint,
+    _check_branch,
+    _check_leading,
     _close_chains,
     _jacobian_raw,
     check_configuration,
@@ -94,23 +96,30 @@ def classify_stability(hessian) -> tuple[str, bool]:
 
     Returns:
         (tag, degenerate) with tag in {"stable", "unstable", "saddle"}.
+
+    Raises:
+        ValueError: hessian is not a square 2-D matrix or holds a value
+            that is not finite.
     """
-    h = np.atleast_2d(np.asarray(hessian, dtype=float))
-    if h.shape[0] != h.shape[1]:
-        raise ValueError("hessian must be square")
+    h = np.asarray(hessian, dtype=float)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"hessian must be a square 2-D matrix, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise ValueError("hessian must contain only finite values")
     return _stability(h)[:2]
 
 
 def _stability(h):
-    """classify_stability of a square h and its smallest eigenvalue (inf
-    when h is empty)."""
-    eigenvalues = np.linalg.eigvalsh(0.5 * (h + h.T))
-    tol = STABILITY_TOLERANCE * float(np.abs(h).max()) if h.size else 0.0
-    positive = int((eigenvalues > tol).sum())
-    negative = int((eigenvalues < -tol).sum())
-    degenerate = bool((np.abs(eigenvalues) <= tol).any())
+    """classify_stability of a finite square h and its smallest eigenvalue
+    (inf when h is empty), on Python floats: a path point has only n-2
+    eigenvalues, too few for NumPy reductions to pay."""
+    eigenvalues = np.linalg.eigvalsh(0.5 * (h + h.T)).tolist()
+    tol = STABILITY_TOLERANCE * float(abs(h).max()) if h.size else 0.0
+    positive = any(e > tol for e in eigenvalues)
+    negative = any(e < -tol for e in eigenvalues)
+    degenerate = any(abs(e) <= tol for e in eigenvalues)
     tag = "saddle" if positive and negative else "unstable" if negative else "stable"
-    return tag, degenerate, float(eigenvalues.min(initial=math.inf))
+    return tag, degenerate, min(eigenvalues, default=math.inf)
 
 
 def reduced_energy(
@@ -125,12 +134,18 @@ def reduced_energy(
     The first n-2 angles are the free coordinates; the last two come from
     the two-link closure with the requested elbow branch. Infeasible
     closures are reported as +inf so minimizers treat them as barriers.
+
+    Raises:
+        DimensionMismatchError: the configuration or the leading angles do
+            not match the chain.
+        ValueError: a chain of fewer than three links, a leading angle that
+            is not finite, or a branch other than +1 or -1.
     """
     check_configuration(chain, initial_config)
-    lead = np.asarray(leading_angles, dtype=float)[None]
+    lead = _check_leading(chain, leading_angles)[None]
     return float(_closed_energies(
         chain.link_lengths, chain.joint_stiffness, initial_config.reference_angles,
-        lead, target.x, target.y, int(branch),
+        lead, target.x, target.y, _check_branch(branch),
     )[0][0])
 
 
@@ -311,49 +326,71 @@ def _curvature(stiffness, jac, force):
     return curvature
 
 
+@functools.lru_cache(maxsize=None)
+def _bordered_index(n):
+    """Where the _bordered matrix reads each entry from [work, J[0], J[1], 0]."""
+    index = np.full((n + 2, n + 2), 3 * n)
+    index[:n, :n] = _suffix_index(n)
+    index[n:, :n] = np.arange(n, 3 * n).reshape(2, n)
+    index[:n, n:] = index[n:, :n].T
+    return index
+
+
 def _bordered(stiffness, jac, force):
-    """The KKT matrix [[H, J^T], [J, 0]] of the equilibrium equations."""
+    """The KKT matrix [[H, J^T], [J, 0]] of the equilibrium equations, H the
+    _curvature, in one gather: a path step builds many small ones."""
     n = jac.shape[1]
-    kkt = np.zeros((n + 2, n + 2))
-    kkt[:n, :n] = _curvature(stiffness, jac, force)
-    kkt[:n, n:] = jac.T
-    kkt[n:, :n] = jac
+    work = force[1] * jac[0] - force[0] * jac[1]
+    kkt = np.concatenate((work, jac[0], jac[1], (0.0,)))[_bordered_index(n)]
+    kkt.reshape(-1)[: n * (n + 3) : n + 3] += stiffness
     return kkt
+
+
+def _tangent_basis(jac):
+    """J_t^-1, by its adjugate, and -J_t^-1 J_l, the last two rows of
+    Z = [I; -J_t^-1 J_l], which spans the tangent space of the end-point
+    constraint (J_t: the Jacobian columns of the last two joints), of one
+    Jacobian (2, n) or a stack."""
+    block = jac[..., -2:]
+    det = block[..., 0, 0] * block[..., 1, 1] - block[..., 0, 1] * block[..., 1, 0]
+    adjugate = block[..., ::-1, ::-1].swapaxes(-1, -2) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    inverse = adjugate / det[..., None, None]
+    return inverse, -inverse @ jac[..., :-2]
+
+
+def _reduced_hessian(stiffness, jac, force, trailing):
+    """Z^T H Z, H the _curvature at the force, Z's last two rows `trailing`."""
+    m = jac.shape[-1] - 2
+    curvature = _curvature(stiffness, jac, force)
+    projected = curvature[..., :m] + curvature[..., m:] @ trailing  # H Z
+    return projected[..., :m, :] + trailing.swapaxes(-1, -2) @ projected[..., m:, :]
 
 
 def _derivatives(stiffness, reference, full, jac):
     """Force, reduced gradient and reduced Hessian at closed configurations:
     full (n,) with its Jacobian jac (2, n), or a stack (m, n) and (m, 2, n).
 
-    Z = [I; -J_t^-1 J_l] spans the tangent space of the end-point constraint
-    (J_t: the Jacobian columns of the last two joints). The force is the
-    multiplier F = -J_t^-T tau_t with tau = K (q - q0), the gradient Z^T tau
-    and the Hessian Z^T H Z with H from _curvature.
+    The force is the multiplier F = -J_t^-T tau_t with tau = K (q - q0), the
+    gradient Z^T tau and the Hessian the _reduced_hessian at F.
 
     Returns (force, gradient, hessian, tau).
     """
     tau = stiffness * (full - reference)
-    block = jac[..., -2:]  # J_t
-    det = block[..., 0, 0] * block[..., 1, 1] - block[..., 0, 1] * block[..., 1, 0]
-    adjugate = block[..., ::-1, ::-1].swapaxes(-1, -2) * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    inverse = adjugate / det[..., None, None]
+    inverse, trailing = _tangent_basis(jac)
     force = -(inverse.swapaxes(-1, -2) @ tau[..., -2:, None])[..., 0]
     m = full.shape[-1] - 2
-    trailing = -inverse @ jac[..., :m]  # the last two rows of Z
-    curvature = _curvature(stiffness, jac, force)
-    projected = curvature[..., :m] + curvature[..., m:] @ trailing  # H Z
-    turned = trailing.swapaxes(-1, -2)
-    hessian = projected[..., :m, :] + turned @ projected[..., m:, :]
-    gradient = tau[..., :m] + (turned @ tau[..., m:, None])[..., 0]
-    return force, gradient, hessian, tau
+    gradient = tau[..., :m] + (trailing.swapaxes(-1, -2) @ tau[..., m:, None])[..., 0]
+    return force, gradient, _reduced_hessian(stiffness, jac, force, trailing), tau
 
 
 @dataclass(frozen=True)
 class _Solve:
     """A closed configuration with its energy, Jacobian, force, torque
-    residual J^T F + K (q - q0), and the _stability of its reduced Hessian,
-    set where the solve is built: the tag, the degenerate flag and the margin
-    (the smallest eigenvalue; inf for an empty Hessian)."""
+    residual J^T F + K (q - q0), and the _stability of its reduced Hessian
+    at that force, set where the solve is built (_settled): the tag, the
+    degenerate flag and the margin (the smallest eigenvalue; inf for an
+    empty Hessian). The force is the chart's multiplier, or on a path point
+    the corrector's."""
 
     energy: float
     full: np.ndarray
@@ -455,18 +492,23 @@ def _minimize_stack(chain, reference, lead, tx, branch):
     return results
 
 
-def _solve_at(chain, reference, full, jac=None, force=None):
+def _solve_at(chain, reference, full, jac=None):
     """The _Solve at a configuration that closes the chain (jac: its
-    Jacobian). Its force and residual come from `force`, e.g. the bordered
-    Newton multiplier, if given, else from _derivatives."""
+    Jacobian), its force the chart's multiplier from _derivatives: the
+    unloaded start of a sweep and the points of three_link_equilibria."""
     full = np.asarray(full, dtype=float)
     if jac is None:
         jac = _jacobian_raw(chain.link_lengths, full)
+    force, _, hessian, tau = _derivatives(chain.joint_stiffness, reference, full, jac)
+    return _settled(chain, reference, full, jac, force, jac.T @ force + tau, hessian)
+
+
+def _settled(chain, reference, full, jac, force, residual, hessian):
+    """The _Solve of an equilibrium with its Jacobian, force, torque
+    residual and reduced Hessian."""
     stretch = full - reference
     energy = 0.5 * float(chain.joint_stiffness @ (stretch * stretch))
-    chart_force, _, hessian, tau = _derivatives(chain.joint_stiffness, reference, full, jac)
-    force = chart_force if force is None else force
-    return _Solve(energy, full, jac, force, jac.T @ force + tau, *_stability(hessian))
+    return _Solve(energy, full, jac, force, residual, *_stability(hessian))
 
 
 def _correct(chain, reference, full, force, tx):
@@ -476,33 +518,36 @@ def _correct(chain, reference, full, force, tx):
     closure wraps them. In |r| the end-point miss is weighed by max k / sum L
     to count as a torque; the steps do not depend on that weight. Each solve
     also gives the _tangent. Iterates until |r| no longer halves or reaches
-    rounding (TANGENT_RESIDUAL); returns (angles, their Jacobian, force, the
-    last solve's tangent) if |r| then lies below GRADIENT_TOLERANCE times the
+    rounding (TANGENT_RESIDUAL); returns the last iterate as (angles, their
+    Jacobian, force, torque residual J^T F + K (q - q0) there, the last
+    solve's tangent) if |r| then lies below GRADIENT_TOLERANCE times the
     largest stiffness, else Nones.
     """
     stiffness = chain.joint_stiffness
-    scale = float(np.max(stiffness))
+    scale = float(stiffness.max())
     weight = scale / chain.total_length
     n = full.size
     rhs = np.zeros((n + 2, 2))
     rhs[n, 1] = 1.0
+    torque, miss = rhs[:n, 0], rhs[n:, 0]  # views: r, the solve's first column
     previous = math.inf
     for _ in range(NEWTON_ITERATIONS):
         jac = _jacobian_raw(chain.link_lengths, full)
-        rhs[:n, 0] = jac.T @ force + stiffness * (full - reference)
-        rhs[n:, 0] = jac[1, 0] - tx, -jac[0, 0]  # J[:, 0] is (-y, x)
-        norm = math.sqrt(rhs[:n, 0] @ rhs[:n, 0] + weight * weight * (rhs[n:, 0] @ rhs[n:, 0]))
+        torque[:] = jac.T @ force + stiffness * (full - reference)
+        miss_x, miss_y = float(jac[1, 0]) - tx, -float(jac[0, 0])  # J[:, 0] is (-y, x)
+        miss[:] = miss_x, miss_y
+        norm = math.sqrt(torque @ torque + weight * weight * (miss_x * miss_x + miss_y * miss_y))
         settled = norm <= ROUNDING * scale and previous <= TANGENT_RESIDUAL * scale
         if settled or not norm < 0.5 * previous:
             converged = norm <= GRADIENT_TOLERANCE * scale
-            return (full, jac, force, step[:, 1]) if converged else (None,) * 4
+            return (full, jac, force, torque.copy(), step[:, 1]) if converged else (None,) * 5
         previous = norm
         try:
             step = np.linalg.solve(_bordered(stiffness, jac, force), rhs)
         except np.linalg.LinAlgError:
-            return (None,) * 4
+            return (None,) * 5
         full, force = full - step[:n, 0], force - step[n:, 0]
-    return (None,) * 4
+    return (None,) * 5
 
 
 def _tangent(chain, solve):
@@ -518,8 +563,9 @@ def _path_step(chain, reference, start, tx, branches, halvings=PATH_HALVINGS):
     an equilibrium, its d(q, F)/d tx (None: take _tangent) and that tangent's
     change per unit tx over the path step that reached it (else 0).
 
-    _correct lands the prediction h t + h^2 bend / 2, h = tx - tx_from.
-    Returns that tuple at tx, the next start, if its solve is stable
+    _correct lands the prediction h t + h^2 bend / 2, h = tx - tx_from, and
+    its last iterate gives the solve: no chart force is solved for. Returns
+    that tuple at tx, the next start, if its solve is stable
     (positive margin), off the closure boundary and on an elbow
     sign(sin q_n) in `branches`; else retries as two half-steps, `halvings`
     levels deep, then gives None, e.g. past a fold in delta_x.
@@ -531,10 +577,11 @@ def _path_step(chain, reference, start, tx, branches, halvings=PATH_HALVINGS):
     except np.linalg.LinAlgError:
         return None
     step = h * tangent + 0.5 * h * h * bend
-    full, jac, force, ahead = _correct(
+    full, jac, force, residual, ahead = _correct(
         chain, reference, solve.full + step[:n], solve.force + step[n:], tx)
     if full is not None and abs(math.sin(full[-1])) > SINGULAR_SINE and _branch(full) in branches:
-        point = _solve_at(chain, reference, full, jac, force)
+        hessian = _reduced_hessian(chain.joint_stiffness, jac, force, _tangent_basis(jac)[1])
+        point = _settled(chain, reference, full, jac, force, residual, hessian)
         if point.margin > 0.0:
             return point, tx, ahead, (ahead - tangent) / h
     if not halvings:
@@ -889,7 +936,7 @@ def three_link_equilibria(
     starts = _chart(lengths, stiffness, reference, 0.5 * (near + far), tx, elbow[index],
                     anchor[index])
     for j, start_full, start_force in zip(index.tolist(), *starts[:2]):
-        q, jac, _, _ = _correct(chain, reference, start_full, start_force, tx)
+        q, jac, *_ = _correct(chain, reference, start_full, start_force, tx)
         if (q is not None and cell_lo[j] <= q[0] <= cell_hi[j] and abs(q[1]) <= math.pi
                 and elbow[j] * math.sin(q[2]) > SINGULAR_SINE):
             found.append(_solve_at(chain, reference, q, jac))

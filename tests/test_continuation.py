@@ -18,13 +18,24 @@ from elastichain import (
     ChainModel,
     Configuration,
     SweepRequest,
+    classify_stability,
     forward_kinematics,
+    jacobian,
     sweep_force_deflection,
 )
 from elastichain import sweep as sweep_module
-from elastichain.sweep import NO_EQUILIBRIUM, _minimize_stack, _solve_at, _tangent
+from elastichain.sweep import (
+    NO_EQUILIBRIUM,
+    _derivatives,
+    _minimize_stack,
+    _solve_at,
+    _tangent,
+)
 
 TABLE_U = (-0.3179, 0.0558, 0.3804, 0.3524)
+TABLE_Z = (-0.2417, 0.6821, -0.7958, 0.5170)
+# three links, a passive base: its stable path ends at a fold in delta_x
+NEAR_STRAIGHT = (-0.1043337889, math.pi / 10, -math.pi / 10)
 
 
 def relaxed(angles):
@@ -217,6 +228,34 @@ class TestPathWork:
         assert len(passed) == 29
         for solve, _, tangent, _ in passed:
             np.testing.assert_allclose(tangent, _tangent(self.chain, solve), rtol=0.0, atol=1e-8)
+
+    def test_path_points_come_from_the_corrector(self, monkeypatch):
+        """A path point is built from the corrector's last iterate: the chart
+        is solved only at the unloaded start."""
+        calls, solve_at = [], sweep_module._solve_at
+        monkeypatch.setattr(sweep_module, "_solve_at",
+                            lambda *args: calls.append(args) or solve_at(*args))
+        result = sweep(self.chain, relaxed(TABLE_U), 0.6, 30, seeds=0)
+        assert result.truncation is None and len(result.points) == 30
+        assert {rec.restart for rec in result.branch_log} == {0}
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("chain, shape, delta_max, steps", [
+        (ChainModel([1.0] * 4, [1.0] * 4), TABLE_Z, 0.6, 30),
+        (ChainModel([1.0] * 3, [0.0, 1.0, 1.0]), NEAR_STRAIGHT, 1.2, 25),
+    ])
+    def test_labels_match_the_reduced_hessian_at_the_angles(self, chain, shape, delta_max, steps):
+        """Every point's label and degenerate flag, whether from the path,
+        with the corrector's multiplier, or from a descent past a fold, are
+        classify_stability of the reduced Hessian at its angles."""
+        result = sweep(chain, relaxed(shape), delta_max, steps, seeds=0)
+        assert result.truncation is None and len(result.points) == steps
+        for point, record in zip(result.points, result.branch_log):
+            q = point.configuration.angles
+            hessian = _derivatives(chain.joint_stiffness, point.configuration.reference_angles,
+                                   q, jacobian(chain, q))[2]
+            degenerate = "degenerate stability" in record.note
+            assert (point.stability, degenerate) == classify_stability(hessian)
 
 
 @st.composite

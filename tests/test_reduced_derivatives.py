@@ -18,10 +18,11 @@ from elastichain import (
     close_chain,
     equilibrium_residual,
     forward_kinematics,
+    jacobian,
     reduced_energy,
 )
 from elastichain.statics import PlanarForce
-from elastichain.sweep import _derivatives, _solve_at
+from elastichain.sweep import _bordered, _curvature, _derivatives, _solve_at
 
 GRADIENT_STEP = 1e-6
 HESSIAN_STEP = 1e-4
@@ -98,3 +99,17 @@ def test_analytic_reduced_derivatives_match_differences(case):
     np.testing.assert_allclose(residual, check, rtol=0.0, atol=1e-12 * scale)
     np.testing.assert_allclose(residual[:m], gradient, rtol=0.0, atol=1e-12 * scale)
     np.testing.assert_allclose(residual[m:], 0.0, atol=1e-12 * scale)
+
+
+@settings(max_examples=30, deadline=None)
+@given(closed_chains(), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+def test_bordered_matrix_is_its_blocks(case, fx, fy):
+    """_bordered gathers [[H, J^T], [J, 0]] in one indexing; it must equal,
+    bit for bit, the blocks set one by one with H from _curvature."""
+    chain, _, lead, target, branch = case
+    full = close_chain(chain, lead, target, branch)
+    jac, force, n = jacobian(chain, full), np.array([fx, fy]), chain.n
+    blocks = np.zeros((n + 2, n + 2))
+    blocks[:n, :n] = _curvature(chain.joint_stiffness, jac, force)
+    blocks[:n, n:], blocks[n:, :n] = jac.T, jac
+    np.testing.assert_array_equal(_bordered(chain.joint_stiffness, jac, force), blocks)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from elastichain import (
     ChainModel,
     Configuration,
+    DimensionMismatchError,
     NotApplicableError,
     PlanarPoint,
     SingularSampleError,
@@ -41,6 +42,7 @@ U_PLUS_BASE = 0.8572772586
 U_PLUS_REFS = (U_PLUS_BASE, -math.pi / 4, -math.pi / 3)
 
 # nearly straight three-link shape with references (pi/10, -pi/10)
+TABLE_U = (-0.3179, 0.0558, 0.3804, 0.3524)
 NEAR_STRAIGHT_BASE = -0.1043337889
 NEAR_STRAIGHT_REFS = (NEAR_STRAIGHT_BASE, math.pi / 10, -math.pi / 10)
 
@@ -133,6 +135,22 @@ class TestClassifyStability:
         assert classify_stability([[4.0]]) == ("stable", False)
         assert classify_stability([[-4.0]]) == ("unstable", False)
 
+    @pytest.mark.parametrize("hessian", [
+        [[math.nan]],
+        [[1.0, math.inf], [math.inf, 1.0]],
+        [[1.0, 0.0], [0.0, -math.inf]],
+    ])
+    def test_rejects_values_that_are_not_finite(self, hessian):
+        # NaN and inf entries used to be labelled "stable"
+        with pytest.raises(ValueError, match="finite"):
+            classify_stability(hessian)
+
+    @pytest.mark.parametrize("hessian", [np.ones((2, 2, 2)), [1.0, 2.0], 4.0, np.ones((2, 3))])
+    def test_rejects_what_is_not_a_square_matrix(self, hessian):
+        # a stack of 2 x 2 matrices used to be labelled "stable" and degenerate
+        with pytest.raises(ValueError, match="square 2-D"):
+            classify_stability(hessian)
+
 
 class TestDetectQuasiBuckling:
     def test_linear_curve_has_no_markers(self):
@@ -223,6 +241,30 @@ class TestReducedEnergy:
         cfg = relaxed(U_PLUS_REFS)
         e = reduced_energy(chain, cfg, [0.0], PlanarPoint(9.0, 0.0), +1)
         assert e == math.inf
+
+    @pytest.mark.parametrize("branch", [2, 0, 0.5, -1.5])
+    def test_rejects_a_branch_other_than_plus_or_minus_one(self, branch):
+        # branch 2 used to return the energy of a shape whose tip missed the target
+        chain = ChainModel([1.0] * 4, [1.0] * 4)
+        with pytest.raises(ValueError, match="branch must be"):
+            reduced_energy(chain, relaxed(TABLE_U), TABLE_U[:2], PlanarPoint(3.6, 0.0), branch)
+
+    @pytest.mark.parametrize("lead", [TABLE_U[:1], TABLE_U[:3], [TABLE_U[:2]]])
+    def test_rejects_leading_angles_of_another_shape(self, lead):
+        chain = ChainModel([1.0] * 4, [1.0] * 4)
+        with pytest.raises(DimensionMismatchError, match="expected 2 leading angles"):
+            reduced_energy(chain, relaxed(TABLE_U), lead, PlanarPoint(3.6, 0.0), +1)
+
+    def test_rejects_a_leading_angle_that_is_not_finite(self):
+        # NaN used to give inf with a RuntimeWarning
+        chain = ChainModel([1.0] * 4, [1.0] * 4)
+        with pytest.raises(ValueError, match="finite"):
+            reduced_energy(chain, relaxed(TABLE_U), [math.nan, 0.0], PlanarPoint(3.6, 0.0), +1)
+
+    def test_rejects_a_two_link_chain(self):
+        chain = ChainModel([1.0, 1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="at least three links"):
+            reduced_energy(chain, relaxed([0.1, 0.2]), [], PlanarPoint(1.5, 0.0), +1)
 
     def test_four_link_landscape_critical_points(self):
         # frozen landscape scan at one constrained deflection: a minimum,
