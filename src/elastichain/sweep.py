@@ -387,10 +387,11 @@ def _derivatives(stiffness, reference, full, jac):
 class _Solve:
     """A closed configuration with its energy, Jacobian, force, torque
     residual J^T F + K (q - q0), and the _stability of its reduced Hessian
-    at that force, set where the solve is built (_settled): the tag, the
-    degenerate flag and the margin (the smallest eigenvalue; inf for an
-    empty Hessian). The force is the chart's multiplier, or on a path point
-    the corrector's."""
+    at that force, set where the solve is built: the tag, the degenerate
+    flag and the margin (the smallest eigenvalue; inf for an empty Hessian).
+    A point that Newton converged (_settled) reports the corrector's
+    multiplier (zero at a sweep's unloaded start), one that a descent
+    reached (_minimize_stack) the chart force -J_t^-T tau_t."""
 
     energy: float
     full: np.ndarray
@@ -420,7 +421,8 @@ def _minimize_stack(chain, reference, lead, tx, branch):
     """Modified-Newton descents of the reduced energy from a stack of starts.
 
     lead is (m, n-2), tx and branch (m,); each row takes the steps it would
-    take alone, and leaves the stack once it converges or fails. Steps use
+    take alone, to rounding (stacked matrix products round differently from
+    one row's), and leaves the stack once it converges or fails. Steps use
     the reduced Hessian with its eigenvalues replaced by their floored
     magnitudes, so they always descend and cannot settle on a saddle. The
     Armijo backtracking treats infeasible closures as +inf and takes the
@@ -492,22 +494,15 @@ def _minimize_stack(chain, reference, lead, tx, branch):
     return results
 
 
-def _solve_at(chain, reference, full, jac=None):
-    """The _Solve at a configuration that closes the chain (jac: its
-    Jacobian), its force the chart's multiplier from _derivatives: the
-    unloaded start of a sweep and the points of three_link_equilibria."""
-    full = np.asarray(full, dtype=float)
-    if jac is None:
-        jac = _jacobian_raw(chain.link_lengths, full)
-    force, _, hessian, tau = _derivatives(chain.joint_stiffness, reference, full, jac)
-    return _settled(chain, reference, full, jac, force, jac.T @ force + tau, hessian)
-
-
-def _settled(chain, reference, full, jac, force, residual, hessian):
-    """The _Solve of an equilibrium with its Jacobian, force, torque
-    residual and reduced Hessian."""
+def _settled(chain, reference, full, jac, force, residual):
+    """The _Solve of an equilibrium that Newton converged, from its angles,
+    Jacobian, force and torque residual, with the reduced Hessian taken at
+    that force: the corrector's multiplier for a path point and a
+    three-link point, zero at the unloaded start of a sweep."""
+    stiffness = chain.joint_stiffness
     stretch = full - reference
-    energy = 0.5 * float(chain.joint_stiffness @ (stretch * stretch))
+    energy = 0.5 * float(stiffness @ (stretch * stretch))
+    hessian = _reduced_hessian(stiffness, jac, force, _tangent_basis(jac)[1])
     return _Solve(energy, full, jac, force, residual, *_stability(hessian))
 
 
@@ -564,7 +559,8 @@ def _path_step(chain, reference, start, tx, branches, halvings=PATH_HALVINGS):
     change per unit tx over the path step that reached it (else 0).
 
     _correct lands the prediction h t + h^2 bend / 2, h = tx - tx_from, and
-    its last iterate gives the solve: no chart force is solved for. Returns
+    its last iterate (angles, Jacobian, multiplier, torque residual) gives
+    the solve through _settled: no chart force is solved for. Returns
     that tuple at tx, the next start, if its solve is stable
     (positive margin), off the closure boundary and on an elbow
     sign(sin q_n) in `branches`; else retries as two half-steps, `halvings`
@@ -580,8 +576,7 @@ def _path_step(chain, reference, start, tx, branches, halvings=PATH_HALVINGS):
     full, jac, force, residual, ahead = _correct(
         chain, reference, solve.full + step[:n], solve.force + step[n:], tx)
     if full is not None and abs(math.sin(full[-1])) > SINGULAR_SINE and _branch(full) in branches:
-        hessian = _reduced_hessian(chain.joint_stiffness, jac, force, _tangent_basis(jac)[1])
-        point = _settled(chain, reference, full, jac, force, residual, hessian)
+        point = _settled(chain, reference, full, jac, force, residual)
         if point.margin > 0.0:
             return point, tx, ahead, (ahead - tangent) / h
     if not halvings:
@@ -665,13 +660,15 @@ def sweep_force_deflection(
     until a step leaves the path: that step runs the minimization, as its
     restart 0, with its own and all waiting restarts in one stacked descent
     of up to STACK_ROWS rows (_minimize_stack), row by row the same as one
-    at a time; `seeds` costs a few stacked descents. Solves that slide onto
-    the closure boundary are not equilibria and count as neither. A point's
-    force is the constraint multiplier, its stability is set when it is
-    solved, from the analytic reduced Hessian. Strain energy is checked for
-    monotone growth and any violation is noted on the branch log. A step
-    whose end-point lies out of the chain's reach (NO_CLOSURE), or where no
-    start converges to an equilibrium (NO_EQUILIBRIUM), truncates the sweep.
+    at a time to rounding; `seeds` costs a few stacked descents. Solves that
+    slide onto the closure boundary are not equilibria and count as neither.
+    A point's force is the constraint multiplier: the corrector's on a path
+    point, the chart's on one a descent reached. Its stability is set when
+    it is solved, from the analytic reduced Hessian at that force. Strain
+    energy is checked for monotone growth and any violation is noted on the
+    branch log. A step whose end-point lies out of the chain's reach
+    (NO_CLOSURE), or where no start converges to an equilibrium
+    (NO_EQUILIBRIUM), truncates the sweep.
     """
     if not 0.0 < drop_ratio < 1.0:
         raise ValueError("drop_ratio must lie strictly between 0 and 1")
@@ -704,9 +701,12 @@ def sweep_force_deflection(
     for k, delta in enumerate(deltas):
         tx = x0 - float(delta)
         if previous is None:
-            # the unloaded start: the relaxed shape itself, off the boundary
-            on_boundary = abs(math.sin(reference[-1])) <= SINGULAR_SINE
-            start = None if on_boundary else (_solve_at(chain, reference, reference), tx, None, 0.0)
+            # the unloaded start, the relaxed shape: torque-free at F = 0
+            start = None
+            if abs(math.sin(reference[-1])) > SINGULAR_SINE:
+                jac = _jacobian_raw(chain.link_lengths, reference)
+                solve = _settled(chain, reference, reference, jac, np.zeros(2), np.zeros(chain.n))
+                start = solve, tx, None, 0.0
         else:
             start = _path_step(chain, reference, previous, tx, request.branches)
             if start is None:
@@ -831,9 +831,11 @@ def three_link_equilibria(
     rescan of a wrap cell, so the energy has no jump in a scan; a bracket
     narrows to its sub-cell nearest that end over which the reduced
     gradient changes sign. The
-    bordered Newton (_correct) starts from each bracket's midpoint, and a
-    point is kept exactly when it converges inside the bracket's cell, on
-    its elbow, with q2 within [-pi, pi] and off the closure boundary. Minima
+    bordered Newton (_correct) starts from each bracket's midpoint, at its
+    chart force, and a point is kept exactly when it converges inside the
+    bracket's cell, on its elbow, with q2 within [-pi, pi] and off the
+    closure boundary; it reports the corrector's multiplier and residual,
+    and its label comes from the reduced Hessian at that force. Minima
     are stable, maxima unstable; kinks of the closure boundary are not
     equilibria and fail that test. Points are returned sorted by strain
     energy. A relaxed shape whose tip is over 1e-9 of the total length off
@@ -936,10 +938,10 @@ def three_link_equilibria(
     starts = _chart(lengths, stiffness, reference, 0.5 * (near + far), tx, elbow[index],
                     anchor[index])
     for j, start_full, start_force in zip(index.tolist(), *starts[:2]):
-        q, jac, *_ = _correct(chain, reference, start_full, start_force, tx)
+        q, jac, force, residual, _ = _correct(chain, reference, start_full, start_force, tx)
         if (q is not None and cell_lo[j] <= q[0] <= cell_hi[j] and abs(q[1]) <= math.pi
                 and elbow[j] * math.sin(q[2]) > SINGULAR_SINE):
-            found.append(_solve_at(chain, reference, q, jac))
+            found.append(_settled(chain, reference, q, jac, force, residual))
 
     found.sort(key=lambda solve: solve.energy)
     unique = []

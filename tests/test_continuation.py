@@ -28,7 +28,7 @@ from elastichain.sweep import (
     NO_EQUILIBRIUM,
     _derivatives,
     _minimize_stack,
-    _solve_at,
+    _settled,
     _tangent,
 )
 
@@ -158,7 +158,9 @@ def test_tangent_matches_central_differences(shape, delta):
     dq = (ahead.full - behind.full) / (2.0 * h)
     df = (ahead.force - behind.force) / (2.0 * h)
     # delta grows as the end-point x = x0 - delta shrinks
-    tangent = -_tangent(chain, _solve_at(chain, reference, q))
+    jac = jacobian(chain, q)
+    force, _, _, tau = _derivatives(chain.joint_stiffness, reference, q, jac)
+    tangent = -_tangent(chain, _settled(chain, reference, q, jac, force, jac.T @ force + tau))
     np.testing.assert_allclose(tangent[:4], dq, rtol=0.0, atol=1e-6 * (1.0 + np.max(np.abs(dq))))
     np.testing.assert_allclose(tangent[4:], df, rtol=0.0, atol=1e-6 * (1.0 + np.max(np.abs(df))))
 
@@ -230,15 +232,15 @@ class TestPathWork:
             np.testing.assert_allclose(tangent, _tangent(self.chain, solve), rtol=0.0, atol=1e-8)
 
     def test_path_points_come_from_the_corrector(self, monkeypatch):
-        """A path point is built from the corrector's last iterate: the chart
-        is solved only at the unloaded start."""
-        calls, solve_at = [], sweep_module._solve_at
-        monkeypatch.setattr(sweep_module, "_solve_at",
-                            lambda *args: calls.append(args) or solve_at(*args))
+        """A path point is built from the corrector's last iterate and the
+        unloaded start is torque-free at F = 0: the chart is never solved."""
+        calls, derivatives = [], sweep_module._derivatives
+        monkeypatch.setattr(sweep_module, "_derivatives",
+                            lambda *args: calls.append(args) or derivatives(*args))
         result = sweep(self.chain, relaxed(TABLE_U), 0.6, 30, seeds=0)
         assert result.truncation is None and len(result.points) == 30
         assert {rec.restart for rec in result.branch_log} == {0}
-        assert len(calls) == 1
+        assert len(calls) == 0
 
     @pytest.mark.parametrize("chain, shape, delta_max, steps", [
         (ChainModel([1.0] * 4, [1.0] * 4), TABLE_Z, 0.6, 30),

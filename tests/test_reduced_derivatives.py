@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from elastichain import (
     ChainModel,
     Configuration,
+    classify_stability,
     close_chain,
     equilibrium_residual,
     forward_kinematics,
@@ -22,7 +23,7 @@ from elastichain import (
     reduced_energy,
 )
 from elastichain.statics import PlanarForce
-from elastichain.sweep import _bordered, _curvature, _derivatives, _solve_at
+from elastichain.sweep import _bordered, _curvature, _derivatives, _settled
 
 GRADIENT_STEP = 1e-6
 HESSIAN_STEP = 1e-4
@@ -63,9 +64,12 @@ def test_analytic_reduced_derivatives_match_differences(case):
         return reduced_energy(chain, config, lead + shift, target, branch)
 
     full = close_chain(chain, lead, target, branch)
-    solve = _solve_at(chain, reference, full)
-    force, residual = solve.force, solve.residual
-    _, gradient, hessian, _ = _derivatives(chain.joint_stiffness, reference, full, solve.jac)
+    jac = jacobian(chain, full)
+    force, gradient, hessian, tau = _derivatives(chain.joint_stiffness, reference, full, jac)
+    # _settled takes the reduced Hessian itself, at the force it is given
+    solve = _settled(chain, reference, full, jac, force, jac.T @ force + tau)
+    assert (solve.stability, solve.degenerate) == classify_stability(hessian)
+    residual = solve.residual
 
     basis = np.eye(m)
     h = GRADIENT_STEP

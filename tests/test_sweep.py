@@ -980,7 +980,10 @@ class TestNewtonMinimize:
         lead = np.array([-0.7208, 1.6736])
         start = close_chain(chain, lead, PlanarPoint(1.0757, 0.0), +1)
         assert abs(math.sin(start[-1])) < 0.05
-        assert sweep_module._solve_at(chain, np.asarray(ref), start).margin < 0.0
+        jac, reference = jacobian(chain, start), np.asarray(ref)
+        force, _, _, tau = sweep_module._derivatives(chain.joint_stiffness, reference, start, jac)
+        residual = jac.T @ force + tau
+        assert sweep_module._settled(chain, reference, start, jac, force, residual).margin < 0.0
 
         solve = descend(chain, ref, lead, 1.0757, +1)
         assert solve is not None

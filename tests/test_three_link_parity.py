@@ -59,5 +59,17 @@ def test_matches_recorded_equilibria(name):
             np.testing.assert_allclose(match, angles, rtol=0.0, atol=3e-7)
 
 
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_points_report_the_correctors_residual(name):
+    """Each point reports the bordered Newton's multiplier and its torque
+    residual, below 1e-14 here, where the chart force -J_t^-T tau_t at the
+    same angles leaves up to 2.05e-14."""
+    chain = ChainModel([1.0, 1.0, 1.0], [0.0, 1.0, 1.0])
+    cfg = Configuration(SHAPES[name], SHAPES[name])
+    for delta in DELTAS:
+        for p in three_link_equilibria(chain, cfg, delta):
+            assert p.residual_norm <= 1e-14, f"delta {delta}"
+
+
 if __name__ == "__main__":
     print(json.dumps({name: record(angles) for name, angles in SHAPES.items()}))
