@@ -5,12 +5,16 @@ An equilibrium balances J^T F + K (q - q0) = 0 with the end-point pinned at
 sweep follows it in full coordinates (q, F): a second-order predictor from
 the tangents at the last two points, then Newton steps on the bordered (KKT)
 system that stop at rounding, their last solve giving the next tangent; a
-step that fails is retried in halves. Past a fold in delta_x, Newton
-minimization of the strain energy over the leading n-2 angles, the last two
-closed onto the end-point, finds the shape the chain snaps to; minima of
-that reduced energy are stable, maxima and saddles unstable. Its gradient
-and Hessian are exact, from suffix sums of the forward kinematics, and it
-runs over a stack of starts at once, as the random restarts of a sweep do.
+step that fails is retried in halves. In headings phi = cumsum(q) that
+system is tridiagonal with a two-row border, so each Newton step is solved
+in O(n) on Python floats; the dense solve serves only where the heading
+block is singular or near it. Past a fold in delta_x, Newton minimization
+of the strain energy over the leading n-2 angles, the last two closed onto
+the end-point, finds the shape the chain snaps to, and the bordered Newton
+then polishes it; minima of that reduced energy are stable, maxima and
+saddles unstable. Its gradient and Hessian are exact, from suffix sums of
+the forward kinematics, and it runs over a stack of starts at once, as the
+random restarts of a sweep do.
 
 three_link_equilibria enumerates every equilibrium of a three-link chain at
 one deflection: one stacked grid scan over the first-joint angle, then one
@@ -22,8 +26,10 @@ closed-form two-link mechanism lives in the numpy-free elastichain.twolink.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +77,15 @@ NO_CLOSURE = "no feasible closure from any start or branch"
 NO_EQUILIBRIUM = "no start converged to an equilibrium"
 # Most restarts one stacked descent takes, which bounds a long sweep's memory.
 STACK_ROWS = 1024
+# The most that the terms of the heading solve (_kkt_solve) may cancel, as
+# the sum of their norms over the norm of the result. Its relative error
+# grows about as 1e-15 times that ratio squared, so this keeps it under
+# about 1e-9; past it, where the heading block is near singular, the dense
+# solve is taken.
+CANCELLATION = 1e3
+# What a Newton iteration on Python floats, or its dense solve, raises where
+# it fails: a singular matrix, an angle that is not finite.
+_SOLVE_ERRORS = (ZeroDivisionError, OverflowError, ValueError, np.linalg.LinAlgError)
 # Levels of step halving when a path step fails: step-size control of the
 # bordered continuation, not a retry in the reduced chart.
 PATH_HALVINGS = 2
@@ -391,7 +406,10 @@ class _Solve:
     flag and the margin (the smallest eigenvalue; inf for an empty Hessian).
     A point that Newton converged (_settled) reports the corrector's
     multiplier (zero at a sweep's unloaded start), one that a descent
-    reached (_minimize_stack) the chart force -J_t^-T tau_t."""
+    reached (_minimize_stack) the chart force -J_t^-T tau_t. Every point a
+    sweep or three_link_equilibria reports is Newton-converged, but for a
+    descent point whose polish failed: the chart force serves the descent
+    and the Newton starts of the polish and of three_link_equilibria."""
 
     energy: float
     full: np.ndarray
@@ -497,8 +515,9 @@ def _minimize_stack(chain, reference, lead, tx, branch):
 def _settled(chain, reference, full, jac, force, residual):
     """The _Solve of an equilibrium that Newton converged, from its angles,
     Jacobian, force and torque residual, with the reduced Hessian taken at
-    that force: the corrector's multiplier for a path point and a
-    three-link point, zero at the unloaded start of a sweep."""
+    that force: the corrector's multiplier for a path point, a polished
+    descent point and a three-link point, zero at the unloaded start of a
+    sweep."""
     stiffness = chain.joint_stiffness
     stretch = full - reference
     energy = 0.5 * float(stiffness @ (stretch * stretch))
@@ -506,51 +525,150 @@ def _settled(chain, reference, full, jac, force, residual):
     return _Solve(energy, full, jac, force, residual, *_stability(hessian))
 
 
+def _headings(lengths, full):
+    """L_j cos(phi_j) and L_j sin(phi_j) of the headings phi = cumsum(q), as
+    lists of Python floats: a path step's vectors are too short for NumPy."""
+    phi = list(itertools.accumulate(full))
+    return (list(map(operator.mul, lengths, map(math.cos, phi))),
+            list(map(operator.mul, lengths, map(math.sin, phi))))
+
+
+def _kkt_solve(stiffness, cos, sin, force, torque, miss):
+    """The bordered Newton step and the tangent at one iterate, as lists over
+    (q, F): the _bordered matrix's solutions with right-hand sides
+    (torque; miss) and (0; e_x), in O(n) on Python floats.
+
+    In headings phi = cumsum(q), q = D phi with D the first difference, the
+    system is [[A, G^T], [G, 0]] with right-hand side (D^T torque; miss):
+    A = D^T K D - diag(L_j (F_x cos phi_j + F_y sin phi_j)) is tridiagonal
+    with off-diagonal -k_{j+1}, and G's columns are L_j (-sin phi_j,
+    cos phi_j). One forward and back sweep of A's LDL^T over D^T torque,
+    G_0^T and G_1^T, then the 2 x 2 Schur complement G A^-1 G^T, give both
+    solutions in phi, and D takes them back to q. Where A is singular or
+    near it the bordered matrix need not be (at F = 0, A = D^T K D holds the
+    rigid rotation about a passive joint in its null space), and the Schur
+    route's terms cancel: where a pivot or the Schur complement vanishes, or
+    the terms cancel by over CANCELLATION, the dense _bordered matrix is
+    solved instead. Raises LinAlgError where that matrix is singular.
+    """
+    fx, fy = force
+    after = stiffness[1:] + [0.0]  # k_{j+1}
+    pivots, ua, u0, u1 = [], [], [], []
+    m = za = z0 = z1 = 0.0  # m: k_j over the previous pivot
+    try:
+        for k, k1, c, s, r, r1 in zip(stiffness, after, cos, sin, torque, torque[1:] + [0.0]):
+            pivot = k + k1 - fx * c - fy * s - m * k
+            za = r - r1 + m * za
+            z0 = m * z0 - s
+            z1 = m * z1 + c
+            pivots.append(pivot)
+            ua.append(za)
+            u0.append(z0)
+            u1.append(z1)
+            m = k1 / pivot
+        xa = x0 = x1 = s00 = s01 = s10 = s11 = b0 = b1 = 0.0
+        for j in range(len(cos) - 1, -1, -1):
+            pivot, k1, s, c = pivots[j], after[j], sin[j], cos[j]
+            ua[j] = xa = (ua[j] + k1 * xa) / pivot
+            u0[j] = x0 = (u0[j] + k1 * x0) / pivot
+            u1[j] = x1 = (u1[j] + k1 * x1) / pivot
+            s00 -= s * x0
+            s01 -= s * x1
+            s10 += c * x0
+            s11 += c * x1
+            b0 -= s * xa
+            b1 += c * xa
+        det = s00 * s11 - s01 * s10
+        b0, b1 = b0 - miss[0], b1 - miss[1]
+        y0, y1 = (s11 * b0 - s01 * b1) / det, (s00 * b1 - s10 * b0) / det  # the step's dF
+        t0, t1 = -s11 / det, s10 / det  # the tangent's dF
+    except ZeroDivisionError:
+        return _dense_solve(stiffness, cos, sin, force, torque, miss)
+    # both solutions in phi, each taken back to q by D as it is formed
+    step, tangent = [], []
+    last_step = last_tangent = step_squares = tangent_squares = 0.0
+    for xa, x0, x1 in zip(ua, u0, u1):
+        phi_step, phi_tangent = xa - x0 * y0 - x1 * y1, -(x0 * t0 + x1 * t1)
+        step.append(phi_step - last_step)
+        tangent.append(phi_tangent - last_tangent)
+        last_step, last_tangent = phi_step, phi_tangent
+        step_squares += phi_step * phi_step
+        tangent_squares += phi_tangent * phi_tangent
+    norm0, norm1 = math.hypot(*u0), math.hypot(*u1)
+    if not (math.hypot(*ua) + abs(y0) * norm0 + abs(y1) * norm1
+            <= CANCELLATION * math.sqrt(step_squares)
+            and abs(t0) * norm0 + abs(t1) * norm1 <= CANCELLATION * math.sqrt(tangent_squares)):
+        return _dense_solve(stiffness, cos, sin, force, torque, miss)
+    return step + [y0, y1], tangent + [t0, t1]
+
+
+def _dense_solve(stiffness, cos, sin, force, torque, miss):
+    """_kkt_solve by np.linalg.solve of the dense _bordered matrix."""
+    n = len(cos)
+    jac = np.array(([-s for s in sin], cos))[:, ::-1].cumsum(axis=1)[:, ::-1]
+    rhs = np.zeros((n + 2, 2))
+    rhs[:n, 0], rhs[n:, 0], rhs[n, 1] = torque, miss, 1.0
+    solution = np.linalg.solve(_bordered(np.array(stiffness), jac, np.array(force)), rhs)
+    return solution[:, 0].tolist(), solution[:, 1].tolist()
+
+
 def _correct(chain, reference, full, force, tx):
     """Newton's method on r(q, F) = [J^T F + K (q - q0); p(q) - (tx, 0)].
 
-    Its Jacobian is the _bordered matrix, and angles change additively, so no
-    closure wraps them. In |r| the end-point miss is weighed by max k / sum L
-    to count as a torque; the steps do not depend on that weight. Each solve
-    also gives the _tangent. Iterates until |r| no longer halves or reaches
-    rounding (TANGENT_RESIDUAL); returns the last iterate as (angles, their
-    Jacobian, force, torque residual J^T F + K (q - q0) there, the last
-    solve's tangent) if |r| then lies below GRADIENT_TOLERANCE times the
-    largest stiffness, else Nones.
+    Its Jacobian is the _bordered matrix, solved in headings in O(n) by
+    _kkt_solve (densely only where the heading block is near singular), and
+    angles change additively, so no closure wraps them. The iteration runs
+    on Python floats. In |r| the end-point miss is weighed by max k / sum L
+    to count as a torque; the steps do not depend on that weight. Each
+    solve also gives the _tangent. Iterates until |r| no longer halves or
+    reaches rounding (TANGENT_RESIDUAL); returns the last iterate as
+    (angles, their Jacobian, force, torque residual J^T F + K (q - q0)
+    there, the last solve's tangent) if |r| then lies below
+    GRADIENT_TOLERANCE times the largest stiffness, else Nones, as also
+    where a solve is singular or an iterate is not finite (_SOLVE_ERRORS).
     """
-    stiffness = chain.joint_stiffness
-    scale = float(stiffness.max())
+    lengths, stiffness = chain.link_lengths.tolist(), chain.joint_stiffness.tolist()
+    q, q0, (fx, fy) = full.tolist(), reference.tolist(), force.tolist()
+    n = len(q)
+    scale = max(stiffness)
     weight = scale / chain.total_length
-    n = full.size
-    rhs = np.zeros((n + 2, 2))
-    rhs[n, 1] = 1.0
-    torque, miss = rhs[:n, 0], rhs[n:, 0]  # views: r, the solve's first column
     previous = math.inf
-    for _ in range(NEWTON_ITERATIONS):
-        jac = _jacobian_raw(chain.link_lengths, full)
-        torque[:] = jac.T @ force + stiffness * (full - reference)
-        miss_x, miss_y = float(jac[1, 0]) - tx, -float(jac[0, 0])  # J[:, 0] is (-y, x)
-        miss[:] = miss_x, miss_y
-        norm = math.sqrt(torque @ torque + weight * weight * (miss_x * miss_x + miss_y * miss_y))
-        settled = norm <= ROUNDING * scale and previous <= TANGENT_RESIDUAL * scale
-        if settled or not norm < 0.5 * previous:
-            converged = norm <= GRADIENT_TOLERANCE * scale
-            return (full, jac, force, torque.copy(), step[:, 1]) if converged else (None,) * 5
-        previous = norm
-        try:
-            step = np.linalg.solve(_bordered(stiffness, jac, force), rhs)
-        except np.linalg.LinAlgError:
-            return (None,) * 5
-        full, force = full - step[:n, 0], force - step[n:, 0]
+    try:
+        for _ in range(NEWTON_ITERATIONS):
+            cos, sin = _headings(lengths, q)
+            # J's columns are the suffix sums of L_j (-sin phi_j, cos phi_j)
+            jx, jy, torque = [0.0] * n, [0.0] * n, [0.0] * n
+            sx = sy = squares = 0.0
+            for j in range(n - 1, -1, -1):
+                jx[j] = sx = sx - sin[j]
+                jy[j] = sy = sy + cos[j]
+                torque[j] = r = sx * fx + sy * fy + stiffness[j] * (q[j] - q0[j])
+                squares += r * r
+            miss = sy - tx, -sx  # J[:, 0] is (-y, x)
+            norm = math.sqrt(squares + weight * weight * (miss[0] * miss[0] + miss[1] * miss[1]))
+            settled = norm <= ROUNDING * scale and previous <= TANGENT_RESIDUAL * scale
+            if settled or not norm < 0.5 * previous:
+                if not norm <= GRADIENT_TOLERANCE * scale:  # NaN too
+                    break
+                return (np.array(q), np.array((jx, jy)), np.array((fx, fy)), np.array(torque),
+                        np.array(tangent))
+            previous = norm
+            step, tangent = _kkt_solve(stiffness, cos, sin, (fx, fy), torque, miss)
+            q = list(map(operator.sub, q, step))
+            fx, fy = fx - step[n], fy - step[n + 1]
+    except _SOLVE_ERRORS:
+        pass
     return (None,) * 5
 
 
 def _tangent(chain, solve):
     """d(q, F)/d tx through the equilibrium `solve`: the _bordered system
-    with right-hand side (0; e_x). Raises LinAlgError where it is singular."""
+    with right-hand side (0; e_x), solved in headings by _kkt_solve. Raises
+    LinAlgError where it is singular."""
     n = solve.full.size
-    kkt = _bordered(chain.joint_stiffness, solve.jac, solve.force)
-    return np.linalg.solve(kkt, np.eye(n + 2)[n])
+    cos, sin = _headings(chain.link_lengths.tolist(), solve.full.tolist())
+    return np.array(_kkt_solve(chain.joint_stiffness.tolist(), cos, sin, solve.force.tolist(),
+                               [0.0] * n, (0.0, 0.0))[1])
 
 
 def _path_step(chain, reference, start, tx, branches, halvings=PATH_HALVINGS):
@@ -558,9 +676,10 @@ def _path_step(chain, reference, start, tx, branches, halvings=PATH_HALVINGS):
     an equilibrium, its d(q, F)/d tx (None: take _tangent) and that tangent's
     change per unit tx over the path step that reached it (else 0).
 
-    _correct lands the prediction h t + h^2 bend / 2, h = tx - tx_from, and
-    its last iterate (angles, Jacobian, multiplier, torque residual) gives
-    the solve through _settled: no chart force is solved for. Returns
+    _correct lands the prediction h t + h^2 bend / 2, h = tx - tx_from, by
+    Newton steps solved in headings in O(n), and its last iterate (angles,
+    Jacobian, multiplier, torque residual) gives the solve through
+    _settled: no chart force is solved for. Returns
     that tuple at tx, the next start, if its solve is stable
     (positive margin), off the closure boundary and on an elbow
     sign(sin q_n) in `branches`; else retries as two half-steps, `halvings`
@@ -662,8 +781,10 @@ def sweep_force_deflection(
     of up to STACK_ROWS rows (_minimize_stack), row by row the same as one
     at a time to rounding; `seeds` costs a few stacked descents. Solves that
     slide onto the closure boundary are not equilibria and count as neither.
-    A point's force is the constraint multiplier: the corrector's on a path
-    point, the chart's on one a descent reached. Its stability is set when
+    A point's force is the corrector's constraint multiplier: a point that a
+    descent reached is polished by the bordered Newton at the same delta_x,
+    which also gives the next step its tangent; where the polish fails, the
+    descent's point stands with its chart force. Its stability is set when
     it is solved, from the analytic reduced Hessian at that force. Strain
     energy is checked for monotone growth and any violation is noted on the
     branch log. A step whose end-point lies out of the chain's reach
@@ -725,6 +846,14 @@ def sweep_force_deflection(
                 reason = NO_EQUILIBRIUM if abs(tx) >= inner else NO_CLOSURE
                 truncation = SweepTruncation(delta_x=float(delta), reason=reason)
                 break
+            # the corrector polishes the chosen descent point at the same tx
+            # and gives the next step its tangent; where it fails, the descent
+            # point stands with its chart force
+            full, jac, force, residual, ahead = _correct(
+                chain, reference, chosen[0].full, chosen[0].force, tx)
+            if full is not None:
+                chosen = _settled(chain, reference, full, jac, force, residual), chosen[1]
+                start = chosen[0], tx, ahead, 0.0
         steps.append((float(delta), branch, chosen))
         previous = start or (chosen[0], tx, None, 0.0)
         lead, branch = chosen[0].full[:-2], _branch(chosen[0].full)

@@ -1,12 +1,17 @@
 """Path continuation of sweep_force_deflection in full coordinates.
 
 The sweep predicts each point along the tangent of the equilibrium path and
-corrects it by Newton steps on the bordered (KKT) system. These tests pin
-what that buys over a chart that closes the last two links on a fixed elbow:
-paths that cross a straight last elbow, paths whose angles pass +-pi, and
-physical invariants of random sweeps.
+corrects it by Newton steps on the bordered (KKT) system, solved in
+headings in O(n) with the dense solve only as a fallback where the heading
+block is near singular; a point past a fold is polished the same way.
+These tests pin what that buys over a chart that closes the last two links
+on a fixed elbow: paths that cross a straight last elbow, paths whose
+angles pass +-pi, and physical invariants of random sweeps (a mirrored
+shape, scaled chains, the work of the force, the continuum limit of long
+chains). They also pin the heading solve against the dense one.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +23,7 @@ from elastichain import (
     ChainModel,
     Configuration,
     SweepRequest,
+    buckling_modes,
     classify_stability,
     forward_kinematics,
     jacobian,
@@ -26,7 +32,10 @@ from elastichain import (
 from elastichain import sweep as sweep_module
 from elastichain.sweep import (
     NO_EQUILIBRIUM,
+    _bordered,
     _derivatives,
+    _headings,
+    _kkt_solve,
     _minimize_stack,
     _settled,
     _tangent,
@@ -200,6 +209,36 @@ def test_path_points_balance_by_a_straight_last_elbow():
     assert max(p.residual_norm for p in result.points) <= 1e-13
 
 
+def survey_chain(index):
+    """Chain `index` of a random survey: default_rng(0) draws per chain 3 to
+    5 links, lengths in [0.6, 1.4], springs in [0.5, 2] and relaxed angles
+    in [-1, 1], which are turned so that the tip lies on +x."""
+    rng = np.random.default_rng(0)
+    for _ in range(index + 1):
+        n = int(rng.integers(3, 6))
+        lengths, springs, angles = (rng.uniform(lo, hi, n) for lo, hi in
+                                    ((0.6, 1.4), (0.5, 2.0), (-1.0, 1.0)))
+    chain = ChainModel(lengths, springs)
+    return chain, on_axis(chain, angles)
+
+
+def test_descent_points_are_newton_converged(monkeypatch):
+    """A point that a descent reached is polished by the corrector at the
+    same deflection, so it reports the multiplier at rounding. Chain 7 of
+    the survey snaps past a fold at step 2, where the descent's own point
+    read a residual of 3.1e-14."""
+    chain, config = survey_chain(7)
+    np.testing.assert_allclose(chain.link_lengths, (1.385, 1.3658, 0.719, 1.3781), atol=1e-4)
+    descents, descend_stack = [], sweep_module._minimize_stack
+    monkeypatch.setattr(sweep_module, "_minimize_stack",
+                        lambda *args: descents.append(args) or descend_stack(*args))
+    x0 = forward_kinematics(chain, config.angles).x
+    result = sweep_force_deflection(SweepRequest(chain, config, 0.7 * x0, 30, seeds=2), seed=7)
+    assert result.truncation is None and len(result.points) == 30
+    assert descents and result.branch_log[2].restart == 0
+    assert max(p.residual_norm for p in result.points) <= 1e-14
+
+
 class TestPathWork:
     """Each path point costs few bordered solves: the last Newton solve also
     gives the tangent passed on, the predictor is second order, and Newton
@@ -208,8 +247,8 @@ class TestPathWork:
     chain = ChainModel([1.0] * 4, [1.0] * 4)
 
     def test_few_solves_per_point(self, monkeypatch):
-        calls, solve = [], np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a) or solve(a, b))
+        calls, solve = [], sweep_module._kkt_solve
+        monkeypatch.setattr(sweep_module, "_kkt_solve", lambda *args: calls.append(args) or solve(*args))
         result = sweep(self.chain, relaxed(TABLE_U), 0.6, 30, seeds=0)
         assert result.truncation is None and len(result.points) == 30
         # 4.6 solves a point with a fresh tangent at each point and one more
@@ -260,6 +299,93 @@ class TestPathWork:
             assert (point.stability, degenerate) == classify_stability(hessian)
 
 
+class TestHeadingSolve:
+    """_kkt_solve, the corrector's O(n) bordered solve in headings, against
+    np.linalg.solve of the dense _bordered matrix in joint angles."""
+
+    @staticmethod
+    def solve_both(chain, angles, force, torque, miss):
+        """The (step, tangent) rows of _kkt_solve and of the dense solve, and
+        the dense matrix."""
+        n = chain.n
+        cos, sin = _headings(chain.link_lengths.tolist(), list(angles))
+        mine = _kkt_solve(chain.joint_stiffness.tolist(), cos, sin, list(force), list(torque),
+                          list(miss))
+        rhs = np.zeros((n + 2, 2))
+        rhs[:n, 0], rhs[n:, 0], rhs[n, 1] = torque, miss, 1.0
+        kkt = _bordered(chain.joint_stiffness, jacobian(chain, angles), np.asarray(force))
+        return np.array(mine), np.linalg.solve(kkt, rhs).T, kkt
+
+    @staticmethod
+    def smallest_pivot(chain, angles, force):
+        """The smallest |pivot| of A = D^T K D - diag(L_j F . (cos, sin)
+        phi_j), as ratios of its leading minors."""
+        k = np.append(chain.joint_stiffness, 0.0)
+        phi = np.cumsum(angles)
+        work = chain.link_lengths * (force[0] * np.cos(phi) + force[1] * np.sin(phi))
+        a = np.diag(k[:-1] + k[1:] - work) - np.diag(k[1:-1], 1) - np.diag(k[1:-1], -1)
+        minors = [1.0] + [np.linalg.det(a[:j, :j]) for j in range(1, chain.n + 1)]
+        return float(np.min(np.abs(np.array(minors[1:]) / minors[:-1])))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 16, 32, 64])
+    def test_matches_the_dense_solve(self, n, monkeypatch):
+        """To 1e-12 relative, or to the rounding that the condition number c
+        of the bordered matrix allows either solve, 1e-16 c, where that is
+        larger. Up to n = 32 every draw agrees to 2e-13. At n = 64, passive
+        joints leave A near singular at these small forces (c up to 8e6),
+        and the two solves differ by up to 7e-12, about 3e-18 c; the dense
+        one is then the less accurate of the two."""
+        fallbacks, dense = [], sweep_module._dense_solve
+        monkeypatch.setattr(sweep_module, "_dense_solve",
+                            lambda *args: fallbacks.append(args) or dense(*args))
+        rng = np.random.default_rng(n)
+        for _ in range(30):
+            stiffness = rng.uniform(0.5, 2.0, n)
+            stiffness[:-1][rng.random(n - 1) < 0.3] = 0.0  # passive joints
+            chain = ChainModel(rng.uniform(0.6, 1.4, n), stiffness)
+            force = rng.uniform(-2.0, 2.0, 2) * stiffness.max() / chain.total_length
+            mine, dense_rows, kkt = self.solve_both(
+                chain, rng.uniform(-0.8, 0.8, n), force, rng.uniform(-1.0, 1.0, n),
+                rng.uniform(-1.0, 1.0, 2))
+            gap = np.linalg.norm(mine - dense_rows, axis=1) / np.linalg.norm(dense_rows, axis=1)
+            assert np.max(gap) <= max(1e-12, 1e-16 * np.linalg.cond(kkt))
+        assert len(fallbacks) <= 3  # the Schur route ran
+
+    def test_a_vanishing_pivot_takes_the_dense_solve(self, monkeypatch):
+        """At F = 0, A = D^T K D holds the rigid rotation about a passive
+        base in its null space: its last pivot is exactly 0."""
+        fallbacks, dense = [], sweep_module._dense_solve
+        monkeypatch.setattr(sweep_module, "_dense_solve",
+                            lambda *args: fallbacks.append(args) or dense(*args))
+        chain = ChainModel([1.0] * 3, [0.0, 1.0, 1.0])
+        assert self.smallest_pivot(chain, NEAR_STRAIGHT, (0.0, 0.0)) == 0.0
+        mine, dense_rows, _ = self.solve_both(chain, NEAR_STRAIGHT, (0.0, 0.0), (0.1, -0.2, 0.3),
+                                              (0.01, 0.02))
+        assert len(fallbacks) == 1
+        np.testing.assert_array_equal(mine, dense_rows)
+
+    def test_cancellation_bounds_the_loss(self):
+        """Forces ever closer to one at which A is singular while the
+        bordered matrix is not. The Schur route's terms cancel there, and it
+        lost all digits within 1e-6 of that force, with no pivot below 1e-3
+        max k; CANCELLATION hands such solves to the dense one."""
+        chain = ChainModel([0.9, 1.1, 1.0, 0.8], [0.0, 1.5, 1.0, 0.7])
+        angles, direction = np.array([0.3, -0.4, 0.5, 0.2]), np.array([0.6, 0.8])
+        # A = T - s W along F = s direction: singular at the eigenvalues of (T, W)
+        k, phi = np.append(chain.joint_stiffness, 0.0), np.cumsum(angles)
+        spring = np.diag(k[:-1] + k[1:]) - np.diag(k[1:-1], 1) - np.diag(k[1:-1], -1)
+        work = np.diag(chain.link_lengths * (direction @ (np.cos(phi), np.sin(phi))))
+        singular = np.linalg.eigvals(np.linalg.solve(work, spring))
+        singular = singular[np.isreal(singular) & (np.abs(singular) > 0.1)].real
+        assert singular.size
+        for s, e in itertools.product(singular, np.geomspace(1e-9, 1e-1, 25)):
+            force = s * (1.0 + e) * direction
+            mine, dense_rows, _ = self.solve_both(chain, angles, force, (0.3, -0.1, 0.2, 0.4),
+                                                  (0.05, -0.02))
+            gap = np.linalg.norm(mine - dense_rows, axis=1) / np.linalg.norm(dense_rows, axis=1)
+            assert np.max(gap) <= 1e-9
+
+
 @st.composite
 def bent_chains(draw):
     """Random bent chains of 3 to 6 links, turned so that the tip lies on
@@ -299,6 +425,26 @@ def test_scaling_lengths_and_stiffnesses_scales_the_force(case, s, t):
 
 @settings(max_examples=15, deadline=None)
 @given(bent_chains())
+def test_mirrored_shape_sweeps_the_mirrored_path(case):
+    """The relaxed shape -q0 is q0 mirrored in the axis: its sweep has the
+    same fx, fy negated, the angles negated and every elbow turned over."""
+    chain, config, x0 = case
+    plain, mirror = (sweep(chain, relaxed(sign * config.angles), 0.5 * x0, 21, seeds=0)
+                     for sign in (1.0, -1.0))
+    assert len(mirror.points) == len(plain.points)
+    assert (mirror.truncation is None) == (plain.truncation is None)
+    assert ([(-r.branch, r.restart, r.note) for r in plain.branch_log]
+            == [(r.branch, r.restart, r.note) for r in mirror.branch_log])
+    for a, b in zip(plain.points, mirror.points):
+        assert b.stability == a.stability
+        assert b.force.fx == pytest.approx(a.force.fx, abs=1e-9)
+        assert b.force.fy == pytest.approx(-a.force.fy, abs=1e-9)
+        np.testing.assert_allclose(b.configuration.angles, -a.configuration.angles,
+                                   rtol=0.0, atol=1e-9)
+
+
+@settings(max_examples=15, deadline=None)
+@given(bent_chains())
 def test_work_of_the_force_is_the_energy_gain(case):
     """On a continuous path the trapezoid rule over fx d delta gives the
     strain energy gained, to within its own Richardson error estimate: the
@@ -320,3 +466,26 @@ def test_work_of_the_force_is_the_energy_gain(case):
     coarse = trapezoid(fx[: last + 1 : 2], deltas[: last + 1 : 2])
     gain = result.points[last].strain_energy - result.points[0].strain_energy
     assert abs(fine - gain) <= abs(fine - coarse) + 1e-12 * max(1.0, abs(gain))
+
+
+def test_hencky_sweeps_converge_to_the_continuum():
+    """n links of length 1/n with stiffness n, a unit bar of unit EI, bent
+    in their primary buckling mode to a largest heading of 0.02 and swept
+    to 0.2 x0 in 41 steps. The mid-sweep fx converges as 1/n, so the
+    Richardson estimates 2 f(2n) - f(n) approach the continuum, and the gap
+    between successive ones shrinks at least threefold per doubling from
+    n = 32 (3.6-fold; about 0.3 s, most of it at n = 256)."""
+    mid = []
+    for n in (32, 64, 128, 256):
+        chain = ChainModel([1.0 / n] * n, [float(n)] * n)
+        mode = buckling_modes(chain)[0].mode_vector[:n]
+        config = on_axis(chain, 0.02 * mode / np.max(np.abs(np.cumsum(mode))))
+        x0 = forward_kinematics(chain, config.angles).x
+        result = sweep(chain, config, 0.2 * x0, 41, seeds=0)
+        assert result.truncation is None and len(result.points) == 41
+        assert {p.stability for p in result.points} == {"stable"}
+        mid.append(result.points[20].force.fx)
+    estimates = [2.0 * fine - coarse for coarse, fine in zip(mid, mid[1:])]
+    gaps = np.abs(np.diff(estimates))
+    assert gaps[0] >= 3.0 * gaps[1]
+    assert estimates[-1] == pytest.approx(20.43, abs=0.01)
