@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainModel, Configuration, DeflectionState
-from .errors import DegenerateModeError, DegenerateModelError
+from .chain import ChainModel, Configuration, DeflectionState, _finite_scalar
+from .errors import DegenerateModeError, DegenerateModelError, DimensionMismatchError
 from .statics import EquilibriumPoint, PlanarForce
 
 # Entries smaller than this fraction of the vector norm have no usable sign.
@@ -115,14 +115,30 @@ def _energy_factors(chain: ChainModel, angles: np.ndarray) -> np.ndarray:
     return numerator / denominator
 
 
+def _mode_vector(mode: BucklingMode, chain: ChainModel) -> np.ndarray:
+    """The mode's vector, checked to hold the n + 1 entries of a mode of chain."""
+    vector = np.asarray(mode.mode_vector, dtype=float)
+    if vector.shape != (chain.n + 1,):
+        raise DimensionMismatchError(
+            f"mode vector has shape {vector.shape}, a mode of {chain.n} links "
+            f"has ({chain.n + 1},)"
+        )
+    return vector
+
+
 def energy_factor(mode: BucklingMode, chain: ChainModel) -> float:
     """Slope of strain energy versus axial deflection for the mode.
 
     Computed from the angle part of the mode vector; invariant under any
     rescaling of the vector. Equals the mode's equilibrium axial force in
     the linearized model.
+
+    Raises:
+        DimensionMismatchError: the mode is not one of a chain of chain.n
+            links.
+        DegenerateModeError: the mode's angles give no axial deflection.
     """
-    angles = np.asarray(mode.mode_vector[: chain.n], dtype=float)
+    angles = _mode_vector(mode, chain)[: chain.n]
     return float(_energy_factors(chain, angles[:, None])[0])
 
 
@@ -148,8 +164,14 @@ def classify_shape(angle_direction) -> str:
     "U" family, n-1 changes the fully alternating "Z" family, anything in
     between "ZU(s)". Entries indistinguishable from zero make the pattern
     ambiguous and yield "unclassified".
+
+    Raises:
+        ValueError: an entry is not finite.
     """
-    return _shape_labels(np.asarray(angle_direction, dtype=float)[:, None])[0]
+    direction = np.asarray(angle_direction, dtype=float)
+    if not np.isfinite(direction).all():
+        raise ValueError("angle_direction must contain only finite values")
+    return _shape_labels(direction[:, None])[0]
 
 
 def _reduced_system(chain: ChainModel):
@@ -235,16 +257,19 @@ def mode_equilibrium_snapshot(
     quadratic in mu, with the energy factor as their ratio.
 
     Raises:
-        ValueError: |mu| exceeds the trusted envelope of 0.1 rad.
+        ValueError: mu is not finite or |mu| exceeds the trusted envelope
+            of 0.1 rad.
+        DimensionMismatchError: the mode is not one of a chain of chain.n
+            links.
     """
-    mu = float(mu)
+    mu = _finite_scalar(mu, "mu")
     if abs(mu) > SNAPSHOT_MU_LIMIT:
         raise ValueError(
             f"|mu| = {abs(mu):.3g} outside the small-angle envelope "
             f"{SNAPSHOT_MU_LIMIT}"
         )
     n = chain.n
-    vec = mode.mode_vector
+    vec = _mode_vector(mode, chain)
     angles = mu * vec[:n]
     config = Configuration(angles, np.zeros(n))
     force = PlanarForce(mode.axial_force, mu * vec[n])

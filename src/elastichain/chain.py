@@ -199,7 +199,8 @@ def jacobian(chain: ChainModel, angles) -> np.ndarray:
 def _jacobian_raw(lengths: np.ndarray, q: np.ndarray) -> np.ndarray:
     """jacobian without validation, of one angle vector or of a stack of rows
     (shape (m, n) gives (m, 2, n)). Its first column is (-y, x) of the end-point."""
-    # ndarray methods, not the np.cumsum wrapper: a path step makes many such small calls
+    # ndarray methods, not the np.cumsum wrapper: descent iterations and recover_force
+    # make many such small calls
     headings = q.cumsum(axis=-1)
     projections = lengths * np.array([-np.sin(headings), np.cos(headings)]).swapaxes(0, -2)
     return projections[..., ::-1].cumsum(axis=-1)[..., ::-1]
@@ -258,15 +259,18 @@ def ik_two_link(
         (q_a, q_b): relative joint angles.
 
     Raises:
+        ValueError: a link length that is not positive and finite, or a
+            branch other than +1 or -1.
         UnreachableTargetError: target outside the annulus
             |l_a - l_b| <= d <= l_a + l_b (tolerance 1e-9 of the reach).
     """
+    l_a, l_b = _finite_scalar(l_a, "l_a"), _finite_scalar(l_b, "l_b")
     if l_a <= 0.0 or l_b <= 0.0:
         raise ValueError("link lengths must be positive")
     sign = _check_branch(branch)
     dx, dy = target.x - origin.x, target.y - origin.y
     heading = _finite_scalar(origin_heading, "origin_heading")
-    q_a, q_b, feasible = _two_link(float(l_a), float(l_b), dx, dy, heading, sign)
+    q_a, q_b, feasible = _two_link(l_a, l_b, dx, dy, heading, sign)
     if not feasible:
         raise UnreachableTargetError(
             f"target at distance {math.hypot(dx, dy):.6g} outside reachable annulus "

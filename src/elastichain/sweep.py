@@ -8,13 +8,15 @@ system that stop at rounding, their last solve giving the next tangent; a
 step that fails is retried in halves. In headings phi = cumsum(q) that
 system is tridiagonal with a two-row border, so each Newton step is solved
 in O(n) on Python floats; the dense solve serves only where the heading
-block is singular or near it. Past a fold in delta_x, Newton minimization
-of the strain energy over the leading n-2 angles, the last two closed onto
-the end-point, finds the shape the chain snaps to, and the bordered Newton
-then polishes it; minima of that reduced energy are stable, maxima and
-saddles unstable. Its gradient and Hessian are exact, from suffix sums of
-the forward kinematics, and it runs over a stack of starts at once, as the
-random restarts of a sweep do.
+block is singular or near it. The corrector hands back the point it
+settles on, its force the multiplier. Past a fold in delta_x, Newton
+minimization of the strain energy over the leading n-2 angles, the last
+two closed onto the end-point, finds the shape the chain snaps to; minima
+of that reduced energy are stable, maxima and saddles unstable. Its
+gradient and Hessian are exact, from suffix sums of the forward
+kinematics, and it runs over a stack of starts at once, as the random
+restarts of a sweep do. The bordered Newton then polishes the point it
+found, but for a mechanism, whose equilibria are not isolated.
 
 three_link_equilibria enumerates every equilibrium of a three-link chain at
 one deflection: one stacked grid scan over the first-joint angle, then one
@@ -341,26 +343,6 @@ def _curvature(stiffness, jac, force):
     return curvature
 
 
-@functools.lru_cache(maxsize=None)
-def _bordered_index(n):
-    """Where the _bordered matrix reads each entry from [work, J[0], J[1], 0]."""
-    index = np.full((n + 2, n + 2), 3 * n)
-    index[:n, :n] = _suffix_index(n)
-    index[n:, :n] = np.arange(n, 3 * n).reshape(2, n)
-    index[:n, n:] = index[n:, :n].T
-    return index
-
-
-def _bordered(stiffness, jac, force):
-    """The KKT matrix [[H, J^T], [J, 0]] of the equilibrium equations, H the
-    _curvature, in one gather: a path step builds many small ones."""
-    n = jac.shape[1]
-    work = force[1] * jac[0] - force[0] * jac[1]
-    kkt = np.concatenate((work, jac[0], jac[1], (0.0,)))[_bordered_index(n)]
-    kkt.reshape(-1)[: n * (n + 3) : n + 3] += stiffness
-    return kkt
-
-
 def _tangent_basis(jac):
     """J_t^-1, by its adjugate, and -J_t^-1 J_l, the last two rows of
     Z = [I; -J_t^-1 J_l], which spans the tangent space of the end-point
@@ -400,20 +382,19 @@ def _derivatives(stiffness, reference, full, jac):
 
 @dataclass(frozen=True)
 class _Solve:
-    """A closed configuration with its energy, Jacobian, force, torque
-    residual J^T F + K (q - q0), and the _stability of its reduced Hessian
-    at that force, set where the solve is built: the tag, the degenerate
-    flag and the margin (the smallest eigenvalue; inf for an empty Hessian).
-    A point that Newton converged (_settled) reports the corrector's
-    multiplier (zero at a sweep's unloaded start), one that a descent
-    reached (_minimize_stack) the chart force -J_t^-T tau_t. Every point a
-    sweep or three_link_equilibria reports is Newton-converged, but for a
-    descent point whose polish failed: the chart force serves the descent
-    and the Newton starts of the polish and of three_link_equilibria."""
+    """A closed configuration with its energy, force, torque residual J^T F
+    + K (q - q0), and the _stability of its reduced Hessian at that force,
+    set where the solve is built: the tag, the degenerate flag and the
+    margin (the smallest eigenvalue; inf for an empty Hessian). One that
+    _correct converged reports the corrector's multiplier, the unloaded
+    start of a sweep zero, and one that a descent reached (_minimize_stack)
+    the chart force -J_t^-T tau_t. Every point a sweep or
+    three_link_equilibria reports is Newton-converged, but for a descent
+    point whose polish failed: the chart force serves the descent and the
+    Newton starts of the polish and of three_link_equilibria."""
 
     energy: float
     full: np.ndarray
-    jac: np.ndarray
     force: np.ndarray
     residual: np.ndarray
     stability: str
@@ -483,7 +464,7 @@ def _minimize_stack(chain, reference, lead, tx, branch):
         small = (step * step).sum(axis=1) <= ROUNDING * ROUNDING * (1.0 + (lead * lead).sum(axis=1))
         converged = (norm >= 0.5 * previous) & ((norm <= GRADIENT_TOLERANCE * scale) | small)
         for i in np.flatnonzero(converged):
-            results[rows[i]] = _Solve(float(energy[i]), full[i], jac[i], force[i],
+            results[rows[i]] = _Solve(float(energy[i]), full[i], force[i],
                                       jac[i].T @ force[i] + tau[i], *_stability(hessian[i]))
         sliding = (values[:, 0] < 0.0) & (sine < np.minimum(BOUNDARY_SINE, previous_sine))
         previous, previous_sine = norm, sine
@@ -513,16 +494,15 @@ def _minimize_stack(chain, reference, lead, tx, branch):
 
 
 def _settled(chain, reference, full, jac, force, residual):
-    """The _Solve of an equilibrium that Newton converged, from its angles,
-    Jacobian, force and torque residual, with the reduced Hessian taken at
-    that force: the corrector's multiplier for a path point, a polished
-    descent point and a three-link point, zero at the unloaded start of a
-    sweep."""
+    """The _Solve of an equilibrium from its angles, their Jacobian, its
+    force and torque residual, labelled by the reduced Hessian at that
+    force: _correct's last iterate and multiplier, or a sweep's unloaded
+    start at zero force."""
     stiffness = chain.joint_stiffness
     stretch = full - reference
     energy = 0.5 * float(stiffness @ (stretch * stretch))
     hessian = _reduced_hessian(stiffness, jac, force, _tangent_basis(jac)[1])
-    return _Solve(energy, full, jac, force, residual, *_stability(hessian))
+    return _Solve(energy, full, force, residual, *_stability(hessian))
 
 
 def _headings(lengths, full):
@@ -535,8 +515,9 @@ def _headings(lengths, full):
 
 def _kkt_solve(stiffness, cos, sin, force, torque, miss):
     """The bordered Newton step and the tangent at one iterate, as lists over
-    (q, F): the _bordered matrix's solutions with right-hand sides
-    (torque; miss) and (0; e_x), in O(n) on Python floats.
+    (q, F): the solutions of the KKT matrix [[H, J^T], [J, 0]], H the
+    _curvature, with right-hand sides (torque; miss) and (0; e_x), in O(n)
+    on Python floats.
 
     In headings phi = cumsum(q), q = D phi with D the first difference, the
     system is [[A, G^T], [G, 0]] with right-hand side (D^T torque; miss):
@@ -548,8 +529,8 @@ def _kkt_solve(stiffness, cos, sin, force, torque, miss):
     near it the bordered matrix need not be (at F = 0, A = D^T K D holds the
     rigid rotation about a passive joint in its null space), and the Schur
     route's terms cancel: where a pivot or the Schur complement vanishes, or
-    the terms cancel by over CANCELLATION, the dense _bordered matrix is
-    solved instead. Raises LinAlgError where that matrix is singular.
+    the terms cancel by over CANCELLATION, _dense_solve solves the KKT
+    matrix instead. Raises LinAlgError where that matrix is singular.
     """
     fx, fy = force
     after = stiffness[1:] + [0.0]  # k_{j+1}
@@ -603,29 +584,33 @@ def _kkt_solve(stiffness, cos, sin, force, torque, miss):
 
 
 def _dense_solve(stiffness, cos, sin, force, torque, miss):
-    """_kkt_solve by np.linalg.solve of the dense _bordered matrix."""
+    """_kkt_solve by np.linalg.solve of the dense KKT matrix in q, built from
+    its blocks. It runs only where the heading block is near singular, e.g.
+    at the unloaded start of a chain with a passive joint."""
     n = len(cos)
     jac = np.array(([-s for s in sin], cos))[:, ::-1].cumsum(axis=1)[:, ::-1]
+    kkt = np.block([[_curvature(np.array(stiffness), jac, np.array(force)), jac.T],
+                    [jac, np.zeros((2, 2))]])
     rhs = np.zeros((n + 2, 2))
     rhs[:n, 0], rhs[n:, 0], rhs[n, 1] = torque, miss, 1.0
-    solution = np.linalg.solve(_bordered(np.array(stiffness), jac, np.array(force)), rhs)
+    solution = np.linalg.solve(kkt, rhs)
     return solution[:, 0].tolist(), solution[:, 1].tolist()
 
 
 def _correct(chain, reference, full, force, tx):
     """Newton's method on r(q, F) = [J^T F + K (q - q0); p(q) - (tx, 0)].
 
-    Its Jacobian is the _bordered matrix, solved in headings in O(n) by
-    _kkt_solve (densely only where the heading block is near singular), and
-    angles change additively, so no closure wraps them. The iteration runs
-    on Python floats. In |r| the end-point miss is weighed by max k / sum L
-    to count as a torque; the steps do not depend on that weight. Each
-    solve also gives the _tangent. Iterates until |r| no longer halves or
-    reaches rounding (TANGENT_RESIDUAL); returns the last iterate as
-    (angles, their Jacobian, force, torque residual J^T F + K (q - q0)
-    there, the last solve's tangent) if |r| then lies below
-    GRADIENT_TOLERANCE times the largest stiffness, else Nones, as also
-    where a solve is singular or an iterate is not finite (_SOLVE_ERRORS).
+    Its Jacobian is the KKT matrix, solved in headings in O(n) by _kkt_solve
+    (densely only where the heading block is near singular), and angles
+    change additively, so no closure wraps them. The iteration runs on
+    Python floats. In |r| the end-point miss is weighed by max k / sum L to
+    count as a torque; the steps do not depend on that weight. Each solve
+    also gives the _tangent. Iterates until |r| no longer halves or reaches
+    rounding (TANGENT_RESIDUAL). Returns (solve, tangent): the _settled
+    _Solve of the last iterate, with the multiplier as its force, and the
+    last solve's d(q, F)/d tx, if |r| then lies below GRADIENT_TOLERANCE
+    times the largest stiffness; else (None, None), as also where a solve
+    is singular or an iterate is not finite (_SOLVE_ERRORS).
     """
     lengths, stiffness = chain.link_lengths.tolist(), chain.joint_stiffness.tolist()
     q, q0, (fx, fy) = full.tolist(), reference.tolist(), force.tolist()
@@ -648,23 +633,26 @@ def _correct(chain, reference, full, force, tx):
             norm = math.sqrt(squares + weight * weight * (miss[0] * miss[0] + miss[1] * miss[1]))
             settled = norm <= ROUNDING * scale and previous <= TANGENT_RESIDUAL * scale
             if settled or not norm < 0.5 * previous:
-                if not norm <= GRADIENT_TOLERANCE * scale:  # NaN too
-                    break
-                return (np.array(q), np.array((jx, jy)), np.array((fx, fy)), np.array(torque),
-                        np.array(tangent))
+                break
             previous = norm
             step, tangent = _kkt_solve(stiffness, cos, sin, (fx, fy), torque, miss)
             q = list(map(operator.sub, q, step))
             fx, fy = fx - step[n], fy - step[n + 1]
+        else:
+            return None, None
     except _SOLVE_ERRORS:
-        pass
-    return (None,) * 5
+        return None, None
+    if not norm <= GRADIENT_TOLERANCE * scale:  # NaN too
+        return None, None
+    return (_settled(chain, reference, np.array(q), np.array((jx, jy)), np.array((fx, fy)),
+                     np.array(torque)), np.array(tangent))
 
 
 def _tangent(chain, solve):
-    """d(q, F)/d tx through the equilibrium `solve`: the _bordered system
-    with right-hand side (0; e_x), solved in headings by _kkt_solve. Raises
-    LinAlgError where it is singular."""
+    """d(q, F)/d tx through the equilibrium `solve`: the KKT system with
+    right-hand side (0; e_x), solved in headings by _kkt_solve, for a start
+    that no _correct reached (the unloaded one, or a descent point whose
+    polish failed). Raises LinAlgError where it is singular."""
     n = solve.full.size
     cos, sin = _headings(chain.link_lengths.tolist(), solve.full.tolist())
     return np.array(_kkt_solve(chain.joint_stiffness.tolist(), cos, sin, solve.force.tolist(),
@@ -677,13 +665,12 @@ def _path_step(chain, reference, start, tx, branches, halvings=PATH_HALVINGS):
     change per unit tx over the path step that reached it (else 0).
 
     _correct lands the prediction h t + h^2 bend / 2, h = tx - tx_from, by
-    Newton steps solved in headings in O(n), and its last iterate (angles,
-    Jacobian, multiplier, torque residual) gives the solve through
-    _settled: no chart force is solved for. Returns
-    that tuple at tx, the next start, if its solve is stable
-    (positive margin), off the closure boundary and on an elbow
-    sign(sin q_n) in `branches`; else retries as two half-steps, `halvings`
-    levels deep, then gives None, e.g. past a fold in delta_x.
+    Newton steps solved in headings in O(n); its solve carries the
+    multiplier, as no chart force is solved for. Returns that tuple at tx,
+    the next start, if the solve is stable (positive margin), off the
+    closure boundary and on an elbow sign(sin q_n) in `branches`; else
+    retries as two half-steps, `halvings` levels deep, then gives None,
+    e.g. past a fold in delta_x.
     """
     solve, tx_from, tangent, bend = start
     h, n = tx - tx_from, solve.full.size
@@ -692,12 +679,10 @@ def _path_step(chain, reference, start, tx, branches, halvings=PATH_HALVINGS):
     except np.linalg.LinAlgError:
         return None
     step = h * tangent + 0.5 * h * h * bend
-    full, jac, force, residual, ahead = _correct(
-        chain, reference, solve.full + step[:n], solve.force + step[n:], tx)
-    if full is not None and abs(math.sin(full[-1])) > SINGULAR_SINE and _branch(full) in branches:
-        point = _settled(chain, reference, full, jac, force, residual)
-        if point.margin > 0.0:
-            return point, tx, ahead, (ahead - tangent) / h
+    point, ahead = _correct(chain, reference, solve.full + step[:n], solve.force + step[n:], tx)
+    if (point is not None and abs(math.sin(point.full[-1])) > SINGULAR_SINE
+            and _branch(point.full) in branches and point.margin > 0.0):
+        return point, tx, ahead, (ahead - tangent) / h
     if not halvings:
         return None
     half = _path_step(chain, reference, (solve, tx_from, tangent, bend), 0.5 * (tx_from + tx),
@@ -783,13 +768,14 @@ def sweep_force_deflection(
     slide onto the closure boundary are not equilibria and count as neither.
     A point's force is the corrector's constraint multiplier: a point that a
     descent reached is polished by the bordered Newton at the same delta_x,
-    which also gives the next step its tangent; where the polish fails, the
-    descent's point stands with its chart force. Its stability is set when
-    it is solved, from the analytic reduced Hessian at that force. Strain
-    energy is checked for monotone growth and any violation is noted on the
-    branch log. A step whose end-point lies out of the chain's reach
-    (NO_CLOSURE), or where no start converges to an equilibrium
-    (NO_EQUILIBRIUM), truncates the sweep.
+    which also gives the next step its tangent; where the polish fails, as
+    on a mechanism whose equilibria are not isolated, the descent's point
+    stands with its chart force. Its stability is set when it is solved,
+    from the analytic reduced Hessian at that force. Strain energy is
+    checked for monotone growth and any violation is noted on the branch
+    log. A step whose end-point lies out of the chain's reach (NO_CLOSURE),
+    or where no start converges to an equilibrium (NO_EQUILIBRIUM),
+    truncates the sweep.
     """
     if not 0.0 < drop_ratio < 1.0:
         raise ValueError("drop_ratio must lie strictly between 0 and 1")
@@ -846,14 +832,11 @@ def sweep_force_deflection(
                 reason = NO_EQUILIBRIUM if abs(tx) >= inner else NO_CLOSURE
                 truncation = SweepTruncation(delta_x=float(delta), reason=reason)
                 break
-            # the corrector polishes the chosen descent point at the same tx
-            # and gives the next step its tangent; where it fails, the descent
-            # point stands with its chart force
-            full, jac, force, residual, ahead = _correct(
-                chain, reference, chosen[0].full, chosen[0].force, tx)
-            if full is not None:
-                chosen = _settled(chain, reference, full, jac, force, residual), chosen[1]
-                start = chosen[0], tx, ahead, 0.0
+            # the polish; where it fails, the descent point stands
+            polished, ahead = _correct(chain, reference, chosen[0].full, chosen[0].force, tx)
+            if polished is not None:
+                chosen = polished, chosen[1]
+                start = polished, tx, ahead, 0.0
         steps.append((float(delta), branch, chosen))
         previous = start or (chosen[0], tx, None, 0.0)
         lead, branch = chosen[0].full[:-2], _branch(chosen[0].full)
@@ -1016,8 +999,8 @@ def three_link_equilibria(
                 energy, full = float(energy[0]), full[0]
                 tau = stiffness * (full - reference)
                 if energy < math.inf and np.max(np.abs(tau)) <= 1e-9 * np.max(stiffness):
-                    found.append(_Solve(energy, full, _jacobian_raw(lengths, full), np.zeros(2),
-                                        tau, *_stability(np.zeros((0, 0)))))
+                    found.append(_Solve(energy, full, np.zeros(2), tau,
+                                        *_stability(np.zeros((0, 0)))))
 
     # the grid: a row of closures per elbow and arc, all from one call
     arcs = np.array([arc for arc in arcs if arc[1] - arc[0] >= 1e-10]).reshape(-1, 2)
@@ -1067,10 +1050,11 @@ def three_link_equilibria(
     starts = _chart(lengths, stiffness, reference, 0.5 * (near + far), tx, elbow[index],
                     anchor[index])
     for j, start_full, start_force in zip(index.tolist(), *starts[:2]):
-        q, jac, force, residual, _ = _correct(chain, reference, start_full, start_force, tx)
-        if (q is not None and cell_lo[j] <= q[0] <= cell_hi[j] and abs(q[1]) <= math.pi
-                and elbow[j] * math.sin(q[2]) > SINGULAR_SINE):
-            found.append(_settled(chain, reference, q, jac, force, residual))
+        solve = _correct(chain, reference, start_full, start_force, tx)[0]
+        if (solve is not None and cell_lo[j] <= solve.full[0] <= cell_hi[j]
+                and abs(solve.full[1]) <= math.pi
+                and elbow[j] * math.sin(solve.full[2]) > SINGULAR_SINE):
+            found.append(solve)
 
     found.sort(key=lambda solve: solve.energy)
     unique = []

@@ -50,6 +50,7 @@ def twolink_curve(mech: TwoLinkMechanism, q_samples) -> list[tuple[float, float,
         List of (delta, force, potential) triples, one per sample.
 
     Raises:
+        ValueError: a sample is not finite.
         SingularSampleError: sin(alpha + q) vanishes at some sample, where
             the force expression is undefined.
     """
@@ -63,6 +64,8 @@ def twolink_curve(mech: TwoLinkMechanism, q_samples) -> list[tuple[float, float,
     curve = []
     for index, q in enumerate(samples):
         q = float(q)
+        if not math.isfinite(q):
+            raise ValueError(f"sample {index} is not finite (q = {q})")
         s = math.sin(alpha + q)
         if abs(s) < 1e-12:
             raise SingularSampleError(

@@ -10,6 +10,7 @@ from elastichain import (
     ChainModel,
     DegenerateModeError,
     DegenerateModelError,
+    DimensionMismatchError,
     buckling_modes,
     build_reach_matrices,
     build_system,
@@ -293,6 +294,12 @@ class TestClassifyShape:
     def test_no_sign_change_keeps_count_label(self):
         assert classify_shape(np.array([0.5, 0.5, 0.5])) == "ZU(0)"
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_an_entry_that_is_not_finite(self, bad):
+        """[nan, 1.0] was labelled "U"."""
+        with pytest.raises(ValueError, match="finite"):
+            classify_shape([bad, 1.0])
+
 
 class TestModeSnapshot:
     def test_linearized_residual_is_small(self):
@@ -335,6 +342,13 @@ class TestModeSnapshot:
         with pytest.raises(ValueError):
             mode_equilibrium_snapshot(mode, chain, 0.5)
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    def test_rejects_a_mu_that_is_not_finite(self, mu):
+        """A NaN mu was reported as angles that are not finite."""
+        chain = ChainModel([1.0] * 3, [1.0] * 3)
+        with pytest.raises(ValueError, match="mu must be finite"):
+            mode_equilibrium_snapshot(buckling_modes(chain)[0], chain, mu)
+
     def test_stability_follows_primary_flag(self):
         chain = ChainModel([1.0] * 4, [1.0] * 4)
         modes = buckling_modes(chain)
@@ -353,6 +367,20 @@ class TestModeSnapshot:
         np.testing.assert_allclose(
             plus.configuration.angles, -minus.configuration.angles
         )
+
+
+@pytest.mark.parametrize("mode_links, chain_links", [(4, 3), (3, 4)])
+@pytest.mark.parametrize("use", ["energy_factor", "snapshot"])
+def test_rejects_a_mode_of_another_chain(use, mode_links, chain_links):
+    """A 4-link mode with a 3-link chain gave an energy factor of 1.3459 and
+    a 3-angle snapshot, a 3-link mode with a 4-link chain an IndexError."""
+    mode = buckling_modes(ChainModel([1.0] * mode_links, [1.0] * mode_links))[0]
+    chain = ChainModel([1.0] * chain_links, [1.0] * chain_links)
+    with pytest.raises(DimensionMismatchError):
+        if use == "energy_factor":
+            energy_factor(mode, chain)
+        else:
+            mode_equilibrium_snapshot(mode, chain, 0.01)
 
 
 def test_snapshot_residual_uses_linear_model():

@@ -169,6 +169,15 @@ class TestIkTwoLink:
         with pytest.raises(ValueError):
             ik_two_link(1.0, 1.0, PlanarPoint(1.0, 1.0), branch=0)
 
+    @pytest.mark.parametrize("lengths, name", [
+        ((math.nan, 1.0), "l_a"), ((1.0, math.nan), "l_b"), ((math.inf, 1.0), "l_a"),
+    ])
+    def test_rejects_a_length_that_is_not_finite(self, lengths, name):
+        """A NaN length raised UnreachableTargetError for an "annulus [nan,
+        nan]", after a RuntimeWarning."""
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ik_two_link(*lengths, PlanarPoint(1.0, 1.0))
+
     def test_roundtrip_random(self):
         rng = np.random.default_rng(11)
         for _ in range(200):

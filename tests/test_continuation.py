@@ -32,7 +32,7 @@ from elastichain import (
 from elastichain import sweep as sweep_module
 from elastichain.sweep import (
     NO_EQUILIBRIUM,
-    _bordered,
+    _curvature,
     _derivatives,
     _headings,
     _kkt_solve,
@@ -239,6 +239,40 @@ def test_descent_points_are_newton_converged(monkeypatch):
     assert max(p.residual_norm for p in result.points) <= 1e-14
 
 
+def test_a_mechanism_keeps_its_descent_points(monkeypatch):
+    """Three passive joints of four leave a mechanism: with the end-point
+    pinned it still moves without loading its one spring, so its
+    equilibria are not isolated and the KKT matrix is singular on them.
+    Every loaded step leaves the path, the descent finds a torque-free
+    shape, and the polish of that point fails; the descent's point stands.
+    On random chains, every failed polish seen was of this kind, on a
+    chain with three or more passive joints."""
+    chain = ChainModel([1.0] * 4, [0.0, 1.0, 0.0, 0.0])
+    descents, polishes = [], []
+    minimize, correct = sweep_module._minimize_stack, sweep_module._correct
+
+    def spy_minimize(*args):
+        solves = minimize(*args)
+        descents.extend(s.full for s in solves if s is not None)
+        return solves
+
+    def spy_correct(chain, reference, full, force, tx):
+        out = correct(chain, reference, full, force, tx)
+        if any(full is d for d in descents):
+            polishes.append(out)
+        return out
+
+    monkeypatch.setattr(sweep_module, "_minimize_stack", spy_minimize)
+    monkeypatch.setattr(sweep_module, "_correct", spy_correct)
+    result = sweep(chain, relaxed((0.0984668921, -0.5, 0.4, 0.3)), 0.6, 13, seeds=0)
+    assert result.truncation is None and len(result.points) == 13
+    assert polishes == [(None, None)] * 12
+    for point, record in zip(result.points[1:], result.branch_log[1:]):
+        assert (record.restart, record.note) == (0, "degenerate stability")
+        assert math.hypot(point.force.fx, point.force.fy) <= 1e-12
+        assert point.residual_norm <= 1e-14
+
+
 class TestPathWork:
     """Each path point costs few bordered solves: the last Newton solve also
     gives the tangent passed on, the predictor is second order, and Newton
@@ -301,7 +335,8 @@ class TestPathWork:
 
 class TestHeadingSolve:
     """_kkt_solve, the corrector's O(n) bordered solve in headings, against
-    np.linalg.solve of the dense _bordered matrix in joint angles."""
+    np.linalg.solve of the dense KKT matrix [[H, J^T], [J, 0]] in joint
+    angles, built from its blocks with H the _curvature."""
 
     @staticmethod
     def solve_both(chain, angles, force, torque, miss):
@@ -313,7 +348,9 @@ class TestHeadingSolve:
                           list(miss))
         rhs = np.zeros((n + 2, 2))
         rhs[:n, 0], rhs[n:, 0], rhs[n, 1] = torque, miss, 1.0
-        kkt = _bordered(chain.joint_stiffness, jacobian(chain, angles), np.asarray(force))
+        jac = jacobian(chain, angles)
+        kkt = np.block([[_curvature(chain.joint_stiffness, jac, np.asarray(force)), jac.T],
+                        [jac, np.zeros((2, 2))]])
         return np.array(mine), np.linalg.solve(kkt, rhs).T, kkt
 
     @staticmethod

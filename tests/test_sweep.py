@@ -101,6 +101,14 @@ class TestTwoLinkMechanism:
             twolink_curve(mech, [0.0, math.pi / 2])
         assert "sample 1" in str(info.value)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_sample_that_is_not_finite(self, bad):
+        """A NaN sample gave (nan, nan, nan), an infinite one a bare math
+        domain error."""
+        mech = TwoLinkMechanism(math.pi / 6, 1.0, 1.0)
+        with pytest.raises(ValueError, match="sample 1 is not finite"):
+            twolink_curve(mech, [0.1, bad])
+
     def test_critical_force_formula(self):
         assert twolink_critical(TwoLinkMechanism(0.0, 3.0, 2.0)) == pytest.approx(3.0)
 
